@@ -1,7 +1,7 @@
 """hermcalc: derivatives of scalar functions applied to Hermitian matrices.
 
 Core surfaces:
-  linalg        validated matrices, Jacobi eigendecomposition, norms, JSON I/O
+  linalg        validated matrices, LAPACK eigendecomposition, norms, JSON I/O
   combinatorics exponent compositions and direction permutations
   powers        derivatives of matrix powers and power series
   expderiv      matrix exponential derivatives (divided-difference and MC)

@@ -17,7 +17,6 @@ hill climb on the best candidate.
 """
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -27,7 +26,7 @@ from . import rng
 from .errors import ParseError
 from .functions import MonomialFunction
 from .linalg import op_norm
-from .spectral import function_derivative_dd
+from .spectral import function_derivative_dd, simpson_weights
 
 SOBOLEV_MIN_NODES = 2049
 PROBE_DEFAULT_BUDGET = 64
@@ -48,11 +47,7 @@ def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
         nodes += 1
     g.check_order(n + 1, "sobolev_bound")
     t = np.linspace(-r, r, nodes)
-    step = t[1] - t[0]
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= step / 3.0
+    w = simpson_weights(nodes, t[1] - t[0])
     integrand = np.abs(np.asarray(g.eval_derivative(t, n + 1))) ** 2
     integral = float(w @ integrand)
     head = float(abs(np.asarray(g.eval_derivative(np.array([0.0]), n))[0]))
@@ -144,7 +139,7 @@ def probe_seminorm(
     on the boundary sphere, the rest uniformly scaled inward), the best
     is refined by an annealed random-perturbation hill climb, and the
     returned value is always a derivative norm actually evaluated at the
-    stored witness.
+    stored witness. threads is accepted and ignored.
     """
     if r <= 0 or d < 1 or budget < 0:
         raise ParseError("probe_seminorm: need r > 0, d >= 1, budget >= 0")
@@ -157,18 +152,11 @@ def probe_seminorm(
         if val > best[0]:
             best = (val, x0, [eye.copy() for _ in range(n)])
 
-    indices = list(range(budget))
-    if threads > 1 and budget > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cands = list(
-                pool.map(lambda i: _random_candidate(g, n, r, d, seed, i), indices)
-            )
-    else:
-        cands = [_random_candidate(g, n, r, d, seed, i) for i in indices]
+    for i in range(budget):
+        cand = _random_candidate(g, n, r, d, seed, i)
+        if cand[0] > best[0]:
+            best = cand
     evaluations += budget
-    for val, x, dirs in cands:
-        if val > best[0]:
-            best = (val, x, dirs)
 
     value, x, dirs = best
     sigma0 = 0.5 * r

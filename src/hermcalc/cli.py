@@ -42,7 +42,7 @@ EXIT_DOMAIN = 4
 # tolerances recorded in every artifact so a run is replayable/auditable
 TOLERANCES = {
     "hermitian_defect": 1e-8,
-    "jacobi_off_diagonal": 1e-14,
+    "eigensolver": "lapack-zheevd",
     "cluster_tol_scale": 1e-6,
     "fourier_tail_tol": 1e-8,
     "probe_slack_floor": -1e-9,
@@ -78,12 +78,7 @@ def _complex_pairs(m):
 
 
 def _emit(args, payload):
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_text(args, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _emit_text(args, text):
@@ -317,7 +312,10 @@ def _build_parser():
             "--seed", type=int, default=None,
             help=f"RNG seed; falls back to HERMCALC_SEED, then {DEFAULT_SEED}",
         )
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted and ignored (hermcalc starts no worker threads)",
+        )
         p.add_argument("--out", help="write the artifact here instead of stdout")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json",

@@ -1,8 +1,11 @@
-"""Confluent divided differences and the chain-tensor contraction.
+"""Confluent divided differences and the one derivative core.
 
-In the eigenbasis of a Hermitian x with eigenvalues lam, the n-th
-derivative of g applied to x contracts the rotated directions against the
-tensor of divided differences over eigenvalue chains:
+derivative_matrix is the core shared by the dd, exp and Fourier routes: it
+rotates the directions into the eigenbasis of x, contracts them there, and
+rotates the result back. In the eigenbasis of a Hermitian x with
+eigenvalues lam, the n-th derivative of g applied to x contracts the
+rotated directions against the tensor of divided differences over
+eigenvalue chains:
 
     T[i0, in] = sum over middle indices of
         V1[i0, i1] ... Vn[i(n-1), in] * g[lam_i0, ..., lam_in]
@@ -173,12 +176,20 @@ def contract_ordered(tensor, dirs_seq):
     return np.einsum(_EINSUM[n], *dirs_seq, tensor, optimize=True)
 
 
-def derivative_in_eigenbasis(lam, dirs_eig, dd_of_chain):
-    """Sum the chain-tensor contraction over all direction orderings."""
-    n = len(dirs_eig)
-    tensor = chain_tensor(lam, n, dd_of_chain)
-    d = len(lam)
-    out = np.zeros((d, d), dtype=np.complex128)
-    for phi in itertools.permutations(range(n)):
-        out += contract_ordered(tensor, [dirs_eig[i] for i in phi])
-    return out
+def to_eigenbasis(dec, dirs):
+    """Directions rotated into the eigenbasis: U* V U."""
+    uh = dec.vectors.conj().T
+    return [uh @ v @ dec.vectors for v in dirs]
+
+
+def derivative_matrix(h, dirs, dd_of_chain):
+    """D^n g(x)[dirs] for the HermitianMatrix h: rotate the directions into
+    its eigenbasis, contract against the chain tensor summed over all
+    direction orderings, rotate back."""
+    dec = h.eig()
+    dirs_eig = to_eigenbasis(dec, dirs)
+    tensor = chain_tensor(dec.eigenvalues, len(dirs), dd_of_chain)
+    core = np.zeros((h.dim, h.dim), dtype=np.complex128)
+    for phi in itertools.permutations(range(len(dirs))):
+        core += contract_ordered(tensor, [dirs_eig[i] for i in phi])
+    return dec.vectors @ core @ dec.vectors.conj().T

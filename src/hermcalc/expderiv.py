@@ -14,16 +14,15 @@ how the Fourier path evaluates derivatives at purely imaginary arguments.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from . import rng
-from .divided import derivative_in_eigenbasis, exp_dd_scaled
+from .divided import derivative_matrix, exp_dd_scaled, to_eigenbasis
 from .errors import CapExceededError, OverflowRangeError, ParseError
-from .linalg import HermitianMatrix, as_array, eig, frobenius, validate_matrix
+from .linalg import HermitianMatrix, as_array, eig, frobenius
 
 EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
@@ -58,13 +57,34 @@ def reference_simplex_volume(n):
     return 1.0 / factorial(n)
 
 
-def _as_hermitian(x):
-    return x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
+def check_derivative_args(x, dirs):
+    """Argument check shared by the derivative routes.
+
+    Returns (HermitianMatrix of x, list of Hermitian direction arrays).
+    The order and dimension caps raise CapExceededError; a direction that
+    is not Hermitian or not shaped like x raises ParseError naming it.
+    """
+    h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
+    n = len(dirs)
+    if n > EXP_DERIV_MAX_N:
+        raise CapExceededError(f"derivative: order {n} exceeds cap {EXP_DERIV_MAX_N}")
+    if h.dim > EXP_DERIV_MAX_DIM:
+        raise CapExceededError(f"derivative: dimension {h.dim} exceeds cap {EXP_DERIV_MAX_DIM}")
+    out = []
+    for j, v in enumerate(dirs):
+        try:
+            arr = HermitianMatrix(v).array
+        except ParseError as exc:
+            raise ParseError(f"direction {j}: {exc}") from None
+        if arr.shape != (h.dim, h.dim):
+            raise ParseError(f"direction {j}: shape {arr.shape} does not match x, dim {h.dim}")
+        out.append(arr)
+    return h, out
 
 
 def mat_exp(x, t=1.0):
     """exp(t x). Eigenbasis route for Hermitian x with real or imaginary t,
-    scaling-and-squaring Taylor series otherwise."""
+    scipy.linalg.expm otherwise."""
     t = complex(t)
     arr = as_array(x)
     scale = frobenius(arr)
@@ -80,62 +100,26 @@ def mat_exp(x, t=1.0):
         w = np.exp(t * dec.eigenvalues)
         return (dec.vectors * w) @ dec.vectors.conj().T
 
-    b = t * arr
-    norm = frobenius(b)
-    squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
-    b = b / (2.0**squarings)
-    d = arr.shape[0]
-    acc = np.eye(d, dtype=np.complex128)
-    term = np.eye(d, dtype=np.complex128)
-    for j in range(1, 60):
-        term = term @ b / j
-        acc = acc + term
-        if frobenius(term) <= 1e-18 * frobenius(acc):
-            break
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
+    # Imported here: scipy.linalg is slow to load and rarely needed.
+    from scipy.linalg import expm
 
-
-def _rotate_dirs(dec, dirs):
-    uh = dec.vectors.conj().T
-    return [uh @ as_array(v) @ dec.vectors for v in dirs]
-
-
-def _check_exp_args(x, dirs):
-    h = _as_hermitian(x)
-    n = len(dirs)
-    if n > EXP_DERIV_MAX_N:
-        raise CapExceededError(
-            f"exp derivative: order {n} exceeds cap {EXP_DERIV_MAX_N}"
-        )
-    if h.dim > EXP_DERIV_MAX_DIM:
-        raise CapExceededError(
-            f"exp derivative: dimension {h.dim} exceeds cap {EXP_DERIV_MAX_DIM}"
-        )
-    for j, v in enumerate(dirs):
-        if as_array(v).shape != (h.dim, h.dim):
-            raise ParseError(f"direction {j}: shape mismatch with x")
-    return h, n
+    return expm(t * arr)
 
 
 def exp_derivative_dd(x, dirs, scale=1.0):
     """n-th derivative of exp at scale*x applied to dirs, via divided
     differences of exp over eigenvalue chains of x."""
-    h, n = _check_exp_args(x, dirs)
+    h, dirs = check_derivative_args(x, dirs)
     scale = complex(scale)
-    dec = h.eig()
-    lam = dec.eigenvalues
-    if abs(scale.real) * max(np.max(np.abs(lam)), 0.0) > EXP_ARG_LIMIT:
+    if abs(scale.real) * np.max(np.abs(h.eig().eigenvalues)) > EXP_ARG_LIMIT:
         raise OverflowRangeError("exp derivative: spectrum too large for exp")
     z = np.array([scale], dtype=np.complex128)
 
     def dd(chain):
         return complex(exp_dd_scaled(chain, z)[0])
 
-    core = derivative_in_eigenbasis(lam, _rotate_dirs(dec, dirs), dd)
-    matrix = dec.vectors @ core @ dec.vectors.conj().T
-    return MultilinearDerivative(matrix=matrix, order=n, method="dd", scale=scale)
+    matrix = derivative_matrix(h, dirs, dd)
+    return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
 
 
 def _mc_chunk(block, count, seed, lam, scale, dirs_eig, vectors):
@@ -166,31 +150,24 @@ def _mc_chunk(block, count, seed, lam, scale, dirs_eig, vectors):
 def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     """Monte-Carlo estimate of the exp derivative with per-entry standard
     errors: uniform simplex samples, E[integrand] / n! summed over
-    direction orderings. Bit-reproducible for any thread count."""
-    h, n = _check_exp_args(x, dirs)
+    direction orderings. Bit-reproducible; threads is accepted and ignored."""
+    h, dirs = check_derivative_args(x, dirs)
+    n = len(dirs)
     samples = int(samples)
     if samples < 2:
         raise ParseError("exp_derivative_mc: need at least 2 samples")
     scale = complex(scale)
     dec = h.eig()
-    lam = dec.eigenvalues
-    dirs_eig = _rotate_dirs(dec, dirs)
-    chunks = list(rng.blocks(samples))
-    work = [
-        (block, count, seed, lam, scale, dirs_eig, dec.vectors)
-        for block, count in chunks
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _mc_chunk(*a), work))
-    else:
-        results = [_mc_chunk(*a) for a in work]
+    dirs_eig = to_eigenbasis(dec, dirs)
 
     d = h.dim
     total = np.zeros((d, d), dtype=np.complex128)
     total_re2 = np.zeros((d, d))
     total_im2 = np.zeros((d, d))
-    for sum_y, sum_re2, sum_im2 in results:
+    for block, count in rng.blocks(samples):
+        sum_y, sum_re2, sum_im2 = _mc_chunk(
+            block, count, seed, dec.eigenvalues, scale, dirs_eig, dec.vectors
+        )
         total += sum_y
         total_re2 += sum_re2
         total_im2 += sum_im2
@@ -221,7 +198,8 @@ def sample_simplex(n, seed, index=0):
 
 
 def simplex_volume_mc(n, samples, seed, threads=1):
-    """Monte-Carlo volume of {t in [0,1]^n : sum t <= 1}, expected 1/n!."""
+    """Monte-Carlo volume of {t in [0,1]^n : sum t <= 1}, expected 1/n!.
+    threads is accepted and ignored."""
     if n < 0 or n > SIMPLEX_MAX_N:
         raise CapExceededError(f"simplex_volume_mc: n = {n} outside 0..{SIMPLEX_MAX_N}")
     samples = int(samples)
@@ -235,12 +213,7 @@ def simplex_volume_mc(n, samples, seed, threads=1):
         u = gen.random((count, n))
         return int(np.count_nonzero(u.sum(axis=1) <= 1.0))
 
-    work = list(rng.blocks(samples))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(lambda a: chunk_hits(*a), work))
-    else:
-        hits = sum(chunk_hits(*a) for a in work)
+    hits = sum(chunk_hits(block, count) for block, count in rng.blocks(samples))
     p = hits / samples
     se = float(np.sqrt(p * (1.0 - p) / samples))
     return VolumeEstimate(value=p, std_error=se, samples=samples, n=n, seed=int(seed))

@@ -1,9 +1,8 @@
 """Dense complex matrices: validation, Hermitian types, eigensolver, norms, JSON I/O.
 
-The eigensolver is a cyclic Jacobi iteration with complex rotations. It is
-deliberately dependency-light and deterministic: fixed pivot order, fixed
-stopping rule, no tie-breaking randomness. Matrices here are small
-(d <= 64), where Jacobi is both robust and accurate.
+The eigensolver and the operator norm are LAPACK calls through numpy
+(eigh and the largest singular value). Both are deterministic for a given
+build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ParseError
 
-JACOBI_SWEEP_CAP = 100
-JACOBI_OFF_TOL = 1e-14
 HERMITIAN_REJECT_TOL = 1e-8
 
 
@@ -93,98 +90,23 @@ class Eigendecomposition:
         return float(np.max(np.abs(self.reconstruct() - as_array(source))))
 
 
-def _off_diagonal_norm(a):
-    # Summed directly over off-diagonal entries; the subtract-the-diagonal
-    # shortcut cancels catastrophically near convergence.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def eig(x):
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-    Pivots run over the strict upper triangle in row-major order. Each
-    rotation is a unitary plane rotation built from the phase of the pivot
-    entry and the classic stable tangent formula. Stops when the
-    off-diagonal Frobenius norm falls below 1e-14 * ||A||_F; raises
-    ConvergenceError after 100 sweeps.
+    Eigenvalues come back ascending. A LAPACK failure is raised as
+    ConvergenceError.
     """
-    if isinstance(x, HermitianMatrix):
-        a = x.array.copy()
-    else:
-        a = HermitianMatrix(x).array.copy()
-    d = a.shape[0]
-    if d == 1:
-        return Eigendecomposition(
-            eigenvalues=np.array([a[0, 0].real]),
-            vectors=np.eye(1, dtype=np.complex128),
-        )
-
-    target = JACOBI_OFF_TOL * max(frobenius(a), np.finfo(float).tiny)
-    skip = target / d
-    u = np.eye(d, dtype=np.complex128)
-
-    converged = False
-    for _ in range(JACOBI_SWEEP_CAP):
-        if _off_diagonal_norm(a) <= target:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                phase = apq / mag
-                alpha = a[p, p].real
-                beta = a[q, q].real
-                # Annihilation tangent: the small-magnitude root of
-                # t^2 - 2 tau t - 1 = 0 for this rotation layout.
-                tau = (beta - alpha) / (2.0 * mag)
-                if tau >= 0:
-                    t = -1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = 1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                sp = s * phase.conjugate()
-                # Column update A <- A V, with V the plane rotation
-                # [[c, -s], [s conj(phase), c conj(phase)]] on (p, q).
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + sp * col_q
-                a[:, q] = -s * col_p + c * phase.conjugate() * col_q
-                # Row update A <- V* A.
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * row_p + c * phase * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                col_p = u[:, p].copy()
-                col_q = u[:, q].copy()
-                u[:, p] = c * col_p + sp * col_q
-                u[:, q] = -s * col_p + c * phase.conjugate() * col_q
-    if not converged and _off_diagonal_norm(a) > target:
-        raise ConvergenceError(
-            f"jacobi eigensolver did not reach off-diagonal tolerance "
-            f"{target:.3e} within {JACOBI_SWEEP_CAP} sweeps (dim {d})"
-        )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return Eigendecomposition(eigenvalues=w[order], vectors=u[:, order])
+    h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
+    try:
+        w, u = np.linalg.eigh(h.array)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed (dim {h.dim}): {exc}") from exc
+    return Eigendecomposition(eigenvalues=w, vectors=u)
 
 
 def op_norm(m):
-    """Operator (spectral) norm via the largest eigenvalue of M* M."""
-    arr = validate_matrix(m)
-    if arr.shape[0] == 1:
-        return float(abs(arr[0, 0]))
-    h = arr.conj().T @ arr
-    w = eig(0.5 * (h + h.conj().T)).eigenvalues
-    return float(np.sqrt(max(w[-1], 0.0)))
+    """Operator (spectral) norm: the largest singular value."""
+    return float(np.linalg.norm(validate_matrix(m), 2))
 
 
 def matmul(matrices):

@@ -65,6 +65,7 @@ def exp_chain_quadrature(x, v, s=1.0, nodes=201):
     s = float(s)
     t = np.linspace(0.0, s, nodes)
     step = t[1] - t[0]
+    # Own weights, not spectral.simpson_weights: oracles share no code with the engine.
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

@@ -15,32 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .divided import cluster_tolerance, derivative_in_eigenbasis, exp_dd_scaled
+from .divided import cluster_tolerance, derivative_matrix, exp_dd_scaled
 from .errors import CapExceededError, GridError, ParseError, RadiusError
-from .expderiv import EXP_DERIV_MAX_DIM, EXP_DERIV_MAX_N, MultilinearDerivative
-from .linalg import HermitianMatrix, as_array
+from .expderiv import MultilinearDerivative, check_derivative_args
+from .linalg import HermitianMatrix
 
 FOURIER_S_MAX_CAP = 640.0
 FOURIER_TAIL_TOL = 1e-8
 
 
-def _as_hermitian(x):
-    return x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
-
-
-def _hermitian_dirs(dirs):
-    out = []
-    for j, v in enumerate(dirs):
-        try:
-            out.append(HermitianMatrix(v).array)
-        except ParseError as exc:
-            raise ParseError(f"direction {j}: {exc}") from None
-    return out
-
-
 def apply_function(g, x):
     """g(x) for Hermitian x: eigenvalues mapped through g."""
-    h = _as_hermitian(x)
+    h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
     dec = h.eig()
     vals = np.asarray(g.eval_derivative(dec.eigenvalues, 0), dtype=np.complex128)
     return (dec.vectors * vals) @ dec.vectors.conj().T
@@ -49,28 +35,14 @@ def apply_function(g, x):
 def function_derivative_dd(g, x, dirs):
     """n-th derivative of x -> g(x) applied to Hermitian directions,
     via the divided-difference chain tensor."""
-    h = _as_hermitian(x)
-    n = len(dirs)
-    if n > EXP_DERIV_MAX_N:
-        raise CapExceededError(f"function derivative: order {n} exceeds cap {EXP_DERIV_MAX_N}")
-    if h.dim > EXP_DERIV_MAX_DIM:
-        raise CapExceededError(f"function derivative: dim {h.dim} exceeds cap {EXP_DERIV_MAX_DIM}")
-    dirs_h = _hermitian_dirs(dirs)
-    for v in dirs_h:
-        if v.shape != (h.dim, h.dim):
-            raise ParseError("function derivative: direction shape mismatch")
-    dec = h.eig()
-    lam = dec.eigenvalues
-    tol = cluster_tolerance(np.max(np.abs(lam)) if h.dim else 0.0)
+    h, dirs = check_derivative_args(x, dirs)
+    tol = cluster_tolerance(np.max(np.abs(h.eig().eigenvalues)))
 
     def dd(chain):
         return complex(g.divided_difference(chain, tol))
 
-    uh = dec.vectors.conj().T
-    dirs_eig = [uh @ v @ dec.vectors for v in dirs_h]
-    core = derivative_in_eigenbasis(lam, dirs_eig, dd)
-    matrix = dec.vectors @ core @ dec.vectors.conj().T
-    return MultilinearDerivative(matrix=matrix, order=n, method="dd")
+    matrix = derivative_matrix(h, dirs, dd)
+    return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +66,7 @@ def mollifier_weight(t, r):
     return w
 
 
-def _simpson_weights(nnodes, h):
+def simpson_weights(nnodes, h):
     if nnodes < 3 or nnodes % 2 == 0:
         raise GridError(f"simpson rule needs an odd node count >= 3, got {nnodes}")
     w = np.ones(nnodes)
@@ -138,7 +110,7 @@ def _transform_on_grid(g, r, s_grid, s_reach):
     if nt % 2 == 0:
         nt += 1
     t = np.linspace(-width, width, nt)
-    wt = _simpson_weights(nt, t[1] - t[0])
+    wt = simpson_weights(nt, t[1] - t[0])
     samples = np.asarray(g.eval_derivative(t, 0), dtype=np.complex128)
     samples *= mollifier_weight(t, r) * wt / (2.0 * np.pi)
     # Round-off floor of the quadrature sums; transform values below this
@@ -246,7 +218,7 @@ def fourier_table(g, r, s_max=None, ds=None, n_max=2, tail_tol=FOURIER_TAIL_TOL)
         reach = s_grid[-1] + max(40.0, s_grid[-1])
         ghat, dt, nt, floor = _transform_on_grid(g, r, s_grid, reach)
         ghat[np.abs(ghat) < floor] = 0.0
-        ws = _simpson_weights(len(s_grid), ds)
+        ws = simpson_weights(len(s_grid), ds)
         mass = np.abs(s_grid) ** n_max * np.abs(ghat) * ws
         total = float(mass.sum())
         if total == 0.0:
@@ -287,16 +259,13 @@ def fourier_table(g, r, s_max=None, ds=None, n_max=2, tail_tol=FOURIER_TAIL_TOL)
 def function_derivative_fourier(table, x, dirs):
     """n-th derivative of x -> g(x) from the frequency table: quadrature of
     ghat(s) (is)^n times the exp derivative at isx over the s-grid."""
-    h = _as_hermitian(x)
+    h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
     if n > table.n_max:
         raise CapExceededError(
             f"fourier derivative: order {n} exceeds table n_max {table.n_max}"
         )
-    dirs_h = _hermitian_dirs(dirs)
-    dec = h.eig()
-    lam = dec.eigenvalues
-    norm = float(np.max(np.abs(lam)))
+    norm = float(np.max(np.abs(h.eig().eigenvalues)))
     if norm > table.radius * (1.0 + 1e-12) + 1e-12:
         raise RadiusError(
             f"fourier derivative: ||x|| = {norm:.6g} outside table radius "
@@ -308,8 +277,5 @@ def function_derivative_fourier(table, x, dirs):
     def dd(chain):
         return complex(np.dot(wn, exp_dd_scaled(chain, z)))
 
-    uh = dec.vectors.conj().T
-    dirs_eig = [uh @ v @ dec.vectors for v in dirs_h]
-    core = derivative_in_eigenbasis(lam, dirs_eig, dd)
-    matrix = dec.vectors @ core @ dec.vectors.conj().T
+    matrix = derivative_matrix(h, dirs, dd)
     return MultilinearDerivative(matrix=matrix, order=n, method="fourier")

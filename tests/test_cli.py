@@ -183,7 +183,7 @@ def test_selftest_quick_passes(tmp_path):
     assert code == 0
     assert doc["all_pass"] is True
     assert len(doc["checks"]) == 13
-    assert doc["meta"]["tolerances"]["jacobi_off_diagonal"] == 1e-14
+    assert doc["meta"]["tolerances"]["eigensolver"] == "lapack-zheevd"
 
 
 def test_selftest_detects_broken_reference(tmp_path, monkeypatch, capsys):
@@ -218,6 +218,26 @@ def test_domain_failures_exit_4(mats, tmp_path):
          "--dir", mats["v"], "--dir", mats["v"], "--dir", mats["v"]]
     )
     assert code == 4
+
+
+def test_fourier_bad_directions_and_dimension_cap(mats, tmp_path):
+    small = tmp_path / "small.json"
+    save_matrix(np.eye(2, dtype=complex), small)
+    base = ["deriv", "--function", "gaussian", "--method", "fourier", "--radius", "2.0"]
+    # direction shape differs from x: a parse error, not a traceback
+    assert main(base + ["--matrix", mats["x"], "--dir", str(small)]) == 2
+    # one above the dimension cap of the derivative routes
+    big = tmp_path / "big.json"
+    save_matrix(np.zeros((33, 33), dtype=complex), big)
+    assert main(base + ["--matrix", str(big), "--dir", str(big)]) == 4
+
+
+def test_eigensolver_failure_exits_3(mats, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["apply", "--matrix", mats["x"], "--function", "exp"]) == 3
 
 
 def test_output_is_deterministic(mats, tmp_path):

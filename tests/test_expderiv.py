@@ -41,6 +41,15 @@ def test_mat_exp_against_scipy():
         np.testing.assert_allclose(mat_exp(x), expm(x), rtol=0, atol=1e-11 * np.exp(op_norm(x)))
 
 
+def test_mat_exp_jordan_block_complex_time():
+    # exp(t [[a, 1], [0, a]]) = e^(ta) [[1, t], [0, 1]]; t has both parts
+    # nonzero and x is not Hermitian
+    a, t = 0.7, 0.8 - 1.3j
+    x = np.array([[a, 1.0], [0.0, a]], dtype=complex)
+    ref = np.exp(t * a) * np.array([[1.0, t], [0.0, 1.0]])
+    np.testing.assert_allclose(mat_exp(x, t), ref, rtol=0, atol=1e-14)
+
+
 def test_derivative_at_zero_is_direction():
     gen = np.random.default_rng(43)
     v = random_hermitian(gen, 4)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hermcalc.errors import ParseError
+from hermcalc.errors import ConvergenceError, ParseError
 from hermcalc.linalg import (
     HermitianMatrix,
     eig,
@@ -65,6 +65,15 @@ def test_eig_diagonal_input_is_exact():
     dec = eig(x)
     assert dec.eigenvalues.tolist() == [-1.0, 0.25, 3.0]
     assert dec.unitary_defect() == 0.0
+
+
+def test_eig_maps_lapack_failure_to_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError):
+        eig(np.eye(2))
 
 
 def test_op_norm_examples():

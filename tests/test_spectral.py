@@ -273,3 +273,15 @@ def test_fourier_radius_and_order_guards(gaussian_table):
     dirs = [random_hermitian(gen, 3) for _ in range(3)]
     with pytest.raises(CapExceededError):
         function_derivative_fourier(gaussian_table, y, dirs)
+
+
+def test_fourier_direction_and_dimension_checks(gaussian_table):
+    x = 0.5 * np.eye(3, dtype=complex)
+    with pytest.raises(ParseError, match="direction 0"):
+        function_derivative_fourier(gaussian_table, x, [np.eye(2)])
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    with pytest.raises(ParseError, match="direction 1"):
+        function_derivative_fourier(gaussian_table, x, [np.eye(3), skew])
+    big = np.zeros((40, 40), dtype=complex)
+    with pytest.raises(CapExceededError):
+        function_derivative_fourier(gaussian_table, big, [np.eye(40)])
