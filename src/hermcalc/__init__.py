@@ -56,7 +56,6 @@ from .linalg import (
     HermitianMatrix,
     eig,
     load_matrix,
-    matmul,
     matrix_from_dict,
     matrix_to_dict,
     op_norm,

@@ -19,8 +19,14 @@ import numpy as np
 
 from . import __version__
 from .bounds import CSV_HEADER, bound_report, sobolev_bound
+from .divided import TAYLOR_SPAN
 from .errors import DomainError, HermcalcError, NumericError, ParseError
-from .expderiv import exp_derivative_dd, exp_derivative_mc, simplex_volume_mc
+from .expderiv import (
+    check_derivative_args,
+    exp_derivative_dd,
+    exp_derivative_mc,
+    simplex_volume_mc,
+)
 from .functions import parse_function
 from .linalg import HermitianMatrix, load_matrix, matrix_to_dict, op_norm
 from .selftest import run_selftest
@@ -43,7 +49,7 @@ EXIT_DOMAIN = 4
 TOLERANCES = {
     "hermitian_defect": 1e-8,
     "eigensolver": "lapack-zheevd",
-    "cluster_tol_scale": 1e-6,
+    "dd_taylor_span": TAYLOR_SPAN,
     "fourier_tail_tol": 1e-8,
     "probe_slack_floor": -1e-9,
 }
@@ -152,6 +158,7 @@ def cmd_deriv(args):
         }
     elif method == "fourier":
         r = args.radius if args.radius is not None else 2.0
+        check_derivative_args(x, dirs)  # reject bad input before building the table
         table = fourier_table(g, r, n_max=max(n, 1))
         der = function_derivative_fourier(table, x, dirs)
         result = der.matrix

@@ -20,8 +20,9 @@ from math import factorial
 import numpy as np
 
 from . import rng
-from .divided import derivative_matrix, exp_dd_scaled, to_eigenbasis
+from .divided import chain_dd, derivative_matrix, to_eigenbasis
 from .errors import CapExceededError, OverflowRangeError, ParseError
+from .functions import ExpFunction
 from .linalg import HermitianMatrix, as_array, eig, frobenius
 
 EXP_DERIV_MAX_N = 4
@@ -84,22 +85,29 @@ def check_derivative_args(x, dirs):
 
 def mat_exp(x, t=1.0):
     """exp(t x). Eigenbasis route for Hermitian x with real or imaginary t,
-    scipy.linalg.expm otherwise."""
+    scipy.linalg.expm otherwise. The overflow check bounds the largest
+    real part of the exponent: |Re t| max|lambda| on the eigenbasis route
+    (imaginary t gives a unitary), ||x||_F |t| for expm."""
     t = complex(t)
     arr = as_array(x)
     scale = frobenius(arr)
-    if scale * abs(t) > EXP_ARG_LIMIT:
-        raise OverflowRangeError(
-            f"mat_exp: ||x|| * |t| = {scale * abs(t):.3e} exceeds {EXP_ARG_LIMIT:g}"
-        )
     hermitian = isinstance(x, HermitianMatrix) or (
         frobenius(arr - arr.conj().T) <= 1e-12 * max(scale, 1e-300)
     )
     if hermitian and (t.imag == 0.0 or t.real == 0.0):
         dec = x.eig() if isinstance(x, HermitianMatrix) else eig(arr)
+        bound = abs(t.real) * float(np.max(np.abs(dec.eigenvalues)))
+        if bound > EXP_ARG_LIMIT:
+            raise OverflowRangeError(
+                f"mat_exp: |Re t| * max|lambda| = {bound:.3e} exceeds {EXP_ARG_LIMIT:g}"
+            )
         w = np.exp(t * dec.eigenvalues)
         return (dec.vectors * w) @ dec.vectors.conj().T
 
+    if scale * abs(t) > EXP_ARG_LIMIT:
+        raise OverflowRangeError(
+            f"mat_exp: ||x|| * |t| = {scale * abs(t):.3e} exceeds {EXP_ARG_LIMIT:g}"
+        )
     # Imported here: scipy.linalg is slow to load and rarely needed.
     from scipy.linalg import expm
 
@@ -113,12 +121,8 @@ def exp_derivative_dd(x, dirs, scale=1.0):
     scale = complex(scale)
     if abs(scale.real) * np.max(np.abs(h.eig().eigenvalues)) > EXP_ARG_LIMIT:
         raise OverflowRangeError("exp derivative: spectrum too large for exp")
-    z = np.array([scale], dtype=np.complex128)
-
-    def dd(chain):
-        return complex(exp_dd_scaled(chain, z)[0])
-
-    matrix = derivative_matrix(h, dirs, dd)
+    z = np.array([scale])
+    matrix = derivative_matrix(h, dirs, lambda t: chain_dd(ExpFunction(), t, z)[:, 0])
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
 
 

@@ -10,16 +10,18 @@ import json
 from math import factorial
 
 import numpy as np
+from scipy import special
 
-from .divided import exp_dd_scaled, function_dd
 from .errors import OrderSupportError, ParseError
 
 
 class ScalarFunction:
-    """Base: subclasses define eval_derivative(t, order) and max_order."""
+    """Base: subclasses define eval_derivative(t, order), max_order (None:
+    every order) and degree (a polynomial's degree, None otherwise)."""
 
     kind = "abstract"
     max_order = None
+    degree = None
 
     def eval_derivative(self, t, order):
         raise NotImplementedError
@@ -30,10 +32,6 @@ class ScalarFunction:
     def label(self):
         return self.kind
 
-    def divided_difference(self, chain, tol):
-        """Confluent divided difference over an ascending tuple of nodes."""
-        return function_dd(self, chain, tol)
-
     def check_order(self, order, context):
         if self.max_order is not None and order > self.max_order:
             raise OrderSupportError(
@@ -43,15 +41,12 @@ class ScalarFunction:
 
 
 class ExpFunction(ScalarFunction):
+    """exp, also at complex arguments (the exp and Fourier routes use z t)."""
+
     kind = "exp"
 
     def eval_derivative(self, t, order):
-        return np.exp(np.asarray(t, dtype=float))
-
-    def divided_difference(self, chain, tol):
-        # Same code path as the dedicated exp derivative: the exact
-        # sinh-product first difference plus the Taylor cluster branch.
-        return complex(exp_dd_scaled(chain, np.array([1.0 + 0.0j]))[0])
+        return np.exp(np.asarray(t, dtype=complex if np.iscomplexobj(t) else float))
 
 
 class SinFunction(ScalarFunction):
@@ -69,22 +64,15 @@ class CosFunction(ScalarFunction):
 
 
 class GaussianFunction(ScalarFunction):
-    """g(t) = exp(-t^2 / 2); derivatives via the Hermite recurrence."""
+    """g(t) = exp(-t^2 / 2); derivatives through Hermite polynomials."""
 
     kind = "gaussian"
 
     def eval_derivative(self, t, order):
-        t = np.asarray(t, dtype=float)
-        base = np.exp(-0.5 * t * t)
-        if order == 0:
-            return base
         # d^m/dt^m exp(-t^2/2) = (-1)^m He_m(t) exp(-t^2/2) with the
         # probabilists' Hermite polynomials He_m.
-        he_prev = np.ones_like(t)
-        he = t.copy()
-        for m in range(1, order):
-            he_prev, he = he, t * he - m * he_prev
-        return ((-1) ** order) * he * base
+        t = np.asarray(t, dtype=float)
+        return ((-1) ** order) * special.eval_hermitenorm(order, t) * np.exp(-0.5 * t * t)
 
 
 class MonomialFunction(ScalarFunction):
@@ -95,6 +83,7 @@ class MonomialFunction(ScalarFunction):
         if k < 0:
             raise ParseError(f"monomial: power must be >= 0, got {k}")
         self.k = k
+        self.degree = k
 
     def label(self):
         return f"monomial:{self.k}"
@@ -119,6 +108,7 @@ class PolynomialFunction(ScalarFunction):
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ParseError("poly: coeffs must be finite")
         self.coeffs = arr
+        self.degree = len(arr) - 1
         self._deriv_cache = {0: arr}
 
     def label(self):

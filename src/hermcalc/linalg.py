@@ -109,19 +109,6 @@ def op_norm(m):
     return float(np.linalg.norm(validate_matrix(m), 2))
 
 
-def matmul(matrices):
-    """Left-to-right product of a nonempty sequence of conformable matrices."""
-    mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
-    if not mats:
-        raise ParseError("matmul: empty sequence")
-    out = mats[0]
-    for m in mats[1:]:
-        if out.shape[1] != m.shape[0]:
-            raise ParseError(f"matmul: dimension mismatch {out.shape} @ {m.shape}")
-        out = out @ m
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major, d*d pairs.
 

@@ -15,7 +15,6 @@ from . import expderiv
 from . import rng
 from .bounds import bound_report, power_bound, probe_seminorm, sobolev_bound
 from .combinatorics import enum_compositions
-from .divided import exp_dd_scaled
 from .expderiv import (
     exp_derivative_dd,
     exp_derivative_mc,

@@ -15,13 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .divided import cluster_tolerance, derivative_matrix, exp_dd_scaled
+from .divided import chain_dd, derivative_matrix
 from .errors import CapExceededError, GridError, ParseError, RadiusError
 from .expderiv import MultilinearDerivative, check_derivative_args
+from .functions import ExpFunction
 from .linalg import HermitianMatrix
 
 FOURIER_S_MAX_CAP = 640.0
 FOURIER_TAIL_TOL = 1e-8
+# (chain, node, z) entries per engine call in the synthesis. Larger blocks
+# were no faster and, being kept on the heap between requests, raised the
+# peak RSS of a process that builds Fourier tables after them.
+SYNTH_BLOCK = 1 << 14
 
 
 def apply_function(g, x):
@@ -36,12 +41,7 @@ def function_derivative_dd(g, x, dirs):
     """n-th derivative of x -> g(x) applied to Hermitian directions,
     via the divided-difference chain tensor."""
     h, dirs = check_derivative_args(x, dirs)
-    tol = cluster_tolerance(np.max(np.abs(h.eig().eigenvalues)))
-
-    def dd(chain):
-        return complex(g.divided_difference(chain, tol))
-
-    matrix = derivative_matrix(h, dirs, dd)
+    matrix = derivative_matrix(h, dirs, lambda t: chain_dd(g, t))
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd")
 
 
@@ -89,11 +89,6 @@ class FourierTable:
     recon_residual: float
     dt: float
     nt: int
-
-    def ghat_at(self, s):
-        """Nearest-node lookup, mainly for inspection."""
-        idx = np.argmin(np.abs(self.s - s))
-        return self.ghat[idx]
 
 
 def _transform_on_grid(g, r, s_grid, s_reach):
@@ -272,10 +267,14 @@ def function_derivative_fourier(table, x, dirs):
             f"{table.radius:g}"
         )
     z = 1j * table.s
-    wn = table.weights * table.ghat * (1j * table.s) ** n
+    wn = table.weights * table.ghat * z**n
+    exp = ExpFunction()
 
-    def dd(chain):
-        return complex(np.dot(wn, exp_dd_scaled(chain, z)))
+    def dd(t):
+        step = max(1, SYNTH_BLOCK // (t.shape[1] * len(z)))
+        return np.concatenate(
+            [chain_dd(exp, t[lo : lo + step], z) @ wn for lo in range(0, len(t), step)]
+        )
 
     matrix = derivative_matrix(h, dirs, dd)
     return MultilinearDerivative(matrix=matrix, order=n, method="fourier")

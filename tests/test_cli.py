@@ -232,6 +232,20 @@ def test_fourier_bad_directions_and_dimension_cap(mats, tmp_path):
     assert main(base + ["--matrix", str(big), "--dir", str(big)]) == 4
 
 
+def test_fourier_rejects_bad_arguments_before_the_table(mats, tmp_path, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("fourier_table built for a request that must be rejected")
+
+    monkeypatch.setattr("hermcalc.cli.fourier_table", no_table)
+    small = tmp_path / "small.json"
+    save_matrix(np.eye(2, dtype=complex), small)
+    base = ["deriv", "--function", "gaussian", "--method", "fourier", "--radius", "2.0"]
+    assert main(base + ["--matrix", mats["x"], "--dir", str(small)]) == 2
+    big = tmp_path / "big.json"
+    save_matrix(np.zeros((33, 33), dtype=complex), big)
+    assert main(base + ["--matrix", str(big), "--dir", str(big)]) == 4
+
+
 def test_eigensolver_failure_exits_3(mats, monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -50,6 +50,14 @@ def test_mat_exp_jordan_block_complex_time():
     np.testing.assert_allclose(mat_exp(x, t), ref, rtol=0, atol=1e-14)
 
 
+def test_mat_exp_imaginary_time_does_not_overflow():
+    # exp(i x) is unitary however large x is; only |Re t| max|lambda| counts
+    got = mat_exp(np.diag([800.0, 0.0]).astype(complex), 1j)
+    np.testing.assert_allclose(got, np.diag([np.exp(800j), 1.0]), rtol=0, atol=1e-12)
+    with pytest.raises(OverflowRangeError):
+        mat_exp(np.diag([800.0, 0.0]).astype(complex), -1.0)
+
+
 def test_derivative_at_zero_is_direction():
     gen = np.random.default_rng(43)
     v = random_hermitian(gen, 4)

@@ -11,7 +11,6 @@ from hermcalc.linalg import (
     eig,
     frobenius,
     load_matrix,
-    matmul,
     matrix_from_dict,
     matrix_to_dict,
     matrix_to_json,
@@ -91,16 +90,6 @@ def test_hermitian_wrapper_rejects_skew_input():
     b = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]], dtype=complex)
     h = HermitianMatrix(b)
     assert frobenius(h.array - h.array.conj().T) == 0.0
-
-
-def test_matmul_order_and_errors():
-    gen = np.random.default_rng(14)
-    a, b, c = (gen.normal(size=(3, 3)) for _ in range(3))
-    np.testing.assert_array_equal(matmul([a, b, c]), (a @ b) @ c)
-    with pytest.raises(ParseError):
-        matmul([])
-    with pytest.raises(ParseError):
-        matmul([a, gen.normal(size=(4, 4))])
 
 
 def test_json_round_trip_is_byte_stable(tmp_path):

@@ -4,7 +4,7 @@ divided-difference derivatives, and the Fourier synthesis path."""
 import numpy as np
 import pytest
 
-from hermcalc.divided import cluster_tolerance, exp_dd_scaled
+from hermcalc.divided import chain_dd
 from hermcalc.errors import (
     CapExceededError,
     OrderSupportError,
@@ -114,7 +114,7 @@ def test_dd_fully_degenerate_spectrum():
 
 
 def test_dd_near_degenerate_stays_accurate():
-    # eigenvalue gap far below the cluster tolerance
+    # eigenvalue gap of 1e-12, deep in the Taylor branch
     gen = np.random.default_rng(67)
     x = np.diag([0.5, 0.5 + 1e-12, 1.5]).astype(complex)
     v = random_hermitian(gen, 3)
@@ -168,10 +168,15 @@ def test_parse_function_specs():
 # ---------------------------------------------------------------- divided
 
 
+def exp_dd(chain, z):
+    """Divided differences of exp over the nodes z * chain, one per z."""
+    return chain_dd(ExpFunction(), np.array([chain]), z)[0]
+
+
 def test_exp_dd_first_order_formula():
     a, b = 0.3, 1.1
     z = np.array([1.0 + 0.0j])
-    got = exp_dd_scaled((a, b), z)[0]
+    got = exp_dd((a, b), z)[0]
     expected = (np.exp(b) - np.exp(a)) / (b - a)
     assert abs(got - expected) < 1e-14 * abs(expected)
 
@@ -180,7 +185,7 @@ def test_exp_dd_scaled_argument():
     # table of e^(z t) over the chain, scale kept out of the prefactor
     a, b = -0.4, 0.9
     z = np.array([2.0j, 0.5 + 0.0j])
-    got = exp_dd_scaled((a, b), z)
+    got = exp_dd((a, b), z)
     expected = (np.exp(z * b) - np.exp(z * a)) / (z * (b - a))
     np.testing.assert_allclose(got, expected, rtol=1e-13)
 
@@ -188,17 +193,11 @@ def test_exp_dd_scaled_argument():
 def test_exp_dd_confluent_limit():
     # repeated node: the divided difference becomes the derivative e^a
     z = np.array([1.0 + 0.0j])
-    got = exp_dd_scaled((0.7, 0.7), z)[0]
+    got = exp_dd((0.7, 0.7), z)[0]
     assert abs(got - np.exp(0.7)) < 1e-13
     # tiny gap agrees with the analytic midpoint form
-    tiny = exp_dd_scaled((0.7, 0.7 + 1e-13), z)[0]
+    tiny = exp_dd((0.7, 0.7 + 1e-13), z)[0]
     assert abs(tiny - np.exp(0.7)) < 1e-12
-
-
-def test_cluster_tolerance_scales():
-    # 1e-6 * (1 + scale)
-    assert cluster_tolerance(0.0) == pytest.approx(1e-6)
-    assert cluster_tolerance(9.0) == pytest.approx(1e-5)
 
 
 # ---------------------------------------------------------------- fourier
