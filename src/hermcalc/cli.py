@@ -31,6 +31,7 @@ from .functions import parse_function
 from .linalg import HermitianMatrix, load_matrix, matrix_to_dict, op_norm
 from .selftest import run_selftest
 from .spectral import (
+    FOURIER_TAIL_TOL,
     apply_function,
     fourier_table,
     function_derivative_dd,
@@ -50,7 +51,7 @@ TOLERANCES = {
     "hermitian_defect": 1e-8,
     "eigensolver": "lapack-zheevd",
     "dd_taylor_span": TAYLOR_SPAN,
-    "fourier_tail_tol": 1e-8,
+    "fourier_tail_tol": FOURIER_TAIL_TOL,
     "probe_slack_floor": -1e-9,
 }
 

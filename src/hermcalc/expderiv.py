@@ -13,7 +13,6 @@ Both accept a complex scale factor z and differentiate at z*x, which is
 how the Fourier path evaluates derivatives at purely imaginary arguments.
 """
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 
@@ -29,6 +28,9 @@ EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
 SIMPLEX_MAX_N = 8
 EXP_ARG_LIMIT = 700.0
+# (row, sample, column) entries per array of an MC sub-block (512 KB): keeps
+# the arrays in cache and bounds the memory; the draws do not depend on it.
+MC_SUB_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -128,27 +130,42 @@ def exp_derivative_dd(x, dirs, scale=1.0):
 
 def _mc_chunk(block, count, seed, lam, scale, dirs_eig, vectors):
     """One counter-seeded chunk: per-sample chain products in the original
-    basis, reduced to (sum, sum of squares, count)."""
+    basis, summed, and their real and imaginary parts squared and summed."""
     n = len(dirs_eig)
+    d = len(lam)
     gen = rng.generator(seed, rng.STREAM_SIMPLEX, block)
     e = gen.standard_exponential((count, n + 1))
     t = e / e.sum(axis=1, keepdims=True)
     ex = np.exp(scale * np.multiply.outer(t, lam))
-    d = len(lam)
-    if n == 0:
-        y = np.einsum("sa,ia,ja->sij", ex[:, 0, :], vectors, vectors.conj())
-    else:
-        # Chain diag(ex0) V_phi(1) diag(ex1) ... V_phi(n) diag(exn) as
-        # batched matrix products over the sample axis.
-        y = np.zeros((count, d, d), dtype=np.complex128)
-        for phi in itertools.permutations(range(n)):
-            m = (ex[:, 0, :, None] * dirs_eig[phi[0]][None, :, :]) * ex[:, 1, None, :]
-            for j in range(1, n):
-                m = m @ (dirs_eig[phi[j]][None, :, :] * ex[:, j + 1, None, :])
-            y += m
-        y /= factorial(n)
-        y = vectors[None, :, :] @ y @ vectors.conj().T[None, :, :]
-    return y.sum(axis=0), (y.real**2).sum(axis=0), (y.imag**2).sum(axis=0)
+    total = sq = 0.0
+    step = MC_SUB_ENTRIES // (d * d)
+    for lo in range(0, count, step):
+        exs = ex[lo : lo + step]
+        # Sum over orderings by subsets: level[mask] holds, summed over the
+        # orderings of the j directions in mask, V_1 diag(ex_1) V_2 ...
+        # diag(ex_j-1) V_j, laid out (row, sample, column) so that each
+        # factor is one GEMM.
+        level = {0: np.eye(d)[:, None, :]}
+        for j in range(n):
+            nxt = {}
+            for mask, f in level.items():
+                f = f * exs[:, j] if j else f
+                for k in (k for k in range(n) if not mask >> k & 1):
+                    term = (f.reshape(-1, d) @ dirs_eig[k]).reshape(d, -1, d)
+                    key = mask | 1 << k
+                    if nxt.setdefault(key, term) is not term:
+                        nxt[key] += term  # in place: a fresh array costs more
+            level = nxt
+        # the outer diagonals diag(ex_0) and diag(ex_n), then back to the
+        # original basis, vectors @ y @ vectors^H, as two GEMMs
+        y = level[(1 << n) - 1] * (exs[:, 0].T[:, :, None] / factorial(n))
+        if n:
+            y *= exs[:, n]
+        y = vectors @ y.reshape(d, -1)
+        y = (y.reshape(-1, d) @ vectors.conj().T).reshape(d, -1, d)
+        total = total + y.sum(axis=1)
+        sq = sq + np.einsum("isj,isj->ij", y.view(np.float64), y.view(np.float64))
+    return total, sq[:, 0::2], sq[:, 1::2]
 
 
 def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):

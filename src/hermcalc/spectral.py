@@ -7,7 +7,8 @@ frequency table: mollify g to compact support, transform, then integrate
     integral of ghat(s) (is)^n D^n(exp)(isx)[dirs] ds,
 which needs only derivatives of exp at imaginary arguments. The two
 routes are algorithmically independent, which is what makes their
-agreement a meaningful check.
+agreement a meaningful check. The transform is Simpson's rule on a
+t-grid commensurate with the s-grid, so it is one exact FFT.
 """
 
 from dataclasses import dataclass
@@ -91,19 +92,20 @@ class FourierTable:
     nt: int
 
 
-def _transform_on_grid(g, r, s_grid, s_reach):
-    """ghat on s_grid by composite Simpson over the mollified support.
+def _transform_on_grid(g, r, m, s_reach):
+    """ghat at s_k = k ds, |k| <= m, ds = pi / (4 (r + 1)), by composite
+    Simpson over the mollified support.
 
     The t-step is set so the first alias image of the quadrature lands
     beyond s_reach, where the mollified transform is negligible; for a
     compactly supported smooth integrand that makes Simpson spectrally
-    accurate rather than h^4-limited.
+    accurate rather than h^4-limited. With N = 4 (nt - 1) the grids give
+    ds dt = 2 pi / N and s_k (r + 1) = k pi / 4, so the sum is one FFT
+    with exact phases, ghat(s_k) = e^{i pi k / 4} FFT_N(samples)[k mod N],
+    and N >= 4m > 2m + 1 keeps every bin on its own FFT index.
     """
     width = r + 1.0
-    dt_target = np.pi / s_reach
-    nt = int(np.ceil(2.0 * width / dt_target)) + 1
-    if nt % 2 == 0:
-        nt += 1
+    nt = 2 * int(np.ceil(width / (np.pi / s_reach))) + 1  # odd, dt <= pi / s_reach
     t = np.linspace(-width, width, nt)
     wt = simpson_weights(nt, t[1] - t[0])
     samples = np.asarray(g.eval_derivative(t, 0), dtype=np.complex128)
@@ -111,11 +113,8 @@ def _transform_on_grid(g, r, s_grid, s_reach):
     # Round-off floor of the quadrature sums; transform values below this
     # are indistinguishable from noise.
     floor = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(samples)))
-    ghat = np.empty(len(s_grid), dtype=np.complex128)
-    block = 2048
-    for lo in range(0, len(s_grid), block):
-        sblk = s_grid[lo : lo + block]
-        ghat[lo : lo + len(sblk)] = np.exp(-1j * np.outer(sblk, t)) @ samples
+    k = np.arange(-m, m + 1)
+    ghat = np.fft.fft(samples, 4 * (nt - 1))[k] * np.exp(0.25j * np.pi * (k % 8))
     return ghat, t[1] - t[0], nt, floor
 
 
@@ -189,29 +188,26 @@ def _tail_estimate(s_grid, ghat, floor, n):
     return float(best[1])
 
 
-def fourier_table(g, r, s_max=None, ds=None, n_max=2, tail_tol=FOURIER_TAIL_TOL):
+def fourier_table(g, r, n_max=2):
     """Build the frequency table for g mollified to [-r-1, r+1].
 
-    The s-grid step keeps at least eight nodes per oscillation of
-    exp(i s lambda) over the ball of radius r (plus the mollifier skirt).
-    s_max grows until the estimated not-yet-gridded tail of
-    |s|^n_max |ghat| falls below tail_tol of the whole; a cap failure
-    raises GridError. Samples below the transform round-off floor are
-    stored as zero so they cannot pollute later synthesis quadratures.
+    The s-grid step pi / (4 (r + 1)) keeps eight nodes per oscillation of
+    exp(i s lambda) over the ball of radius r plus the mollifier skirt.
+    s_max grows until the estimated not-yet-gridded tail of |s|^n_max
+    |ghat| falls below FOURIER_TAIL_TOL of the whole; a cap failure raises
+    GridError. Samples below the transform round-off floor are stored as
+    zero so they cannot pollute later synthesis quadratures.
     """
     if r <= 0:
         raise ParseError(f"fourier_table: radius must be positive, got {r}")
-    width = r + 1.0
-    if ds is None:
-        ds = np.pi / (4.0 * width)
-    fixed_cap = s_max is not None
-    target = float(s_max) if fixed_cap else 40.0
+    ds = np.pi / (4.0 * (r + 1.0))
+    target = 40.0
 
     while True:
         m = max(int(np.ceil(target / ds)), 8)
         s_grid = ds * np.arange(-m, m + 1)
         reach = s_grid[-1] + max(40.0, s_grid[-1])
-        ghat, dt, nt, floor = _transform_on_grid(g, r, s_grid, reach)
+        ghat, dt, nt, floor = _transform_on_grid(g, r, m, reach)
         ghat[np.abs(ghat) < floor] = 0.0
         ws = simpson_weights(len(s_grid), ds)
         mass = np.abs(s_grid) ** n_max * np.abs(ghat) * ws
@@ -222,14 +218,14 @@ def fourier_table(g, r, s_max=None, ds=None, n_max=2, tail_tol=FOURIER_TAIL_TOL)
         tail = _tail_estimate(s_grid, ghat, floor, n_max)
         if tail is not None:
             tail_fraction = tail / total
-            if tail_fraction <= tail_tol:
+            if tail_fraction <= FOURIER_TAIL_TOL:
                 break
         else:
             tail_fraction = np.inf
-        if fixed_cap or s_grid[-1] >= FOURIER_S_MAX_CAP:
+        if s_grid[-1] >= FOURIER_S_MAX_CAP:
             raise GridError(
                 f"fourier_table: estimated tail fraction {tail_fraction:.3e} "
-                f"above {tail_tol:g} at s_max = {s_grid[-1]:.1f}; grid too small"
+                f"above {FOURIER_TAIL_TOL:g} at s_max = {s_grid[-1]:.1f}; grid too small"
             )
         target = 2.0 * s_grid[-1]
 

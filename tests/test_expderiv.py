@@ -1,9 +1,13 @@
 """Exponential derivatives: divided-difference evaluation, the Monte Carlo
 sampler over ordered simplices, and the simplex volume estimator."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from hermcalc import rng
 from hermcalc.errors import CapExceededError, OverflowRangeError
 from hermcalc.expderiv import (
     exp_derivative_dd,
@@ -152,6 +156,52 @@ def test_mc_is_deterministic_and_thread_invariant():
     # a different seed actually changes the stream
     other = exp_derivative_mc(x, dirs, samples=5000, seed=8)
     assert not np.array_equal(a.matrix, other.matrix)
+
+
+def mc_reference(x, dirs, samples, seed, scale):
+    """The MC estimate formed one sample at a time in the original basis:
+    the same Philox draws, exp(scale t_j x) from numpy's eigh, and the
+    chains summed over orderings as stacks of per-sample d x d products."""
+    lam, u = np.linalg.eigh(x)
+    n = len(dirs)
+    ys = []
+    for block, count in rng.blocks(samples):
+        e = rng.generator(seed, rng.STREAM_SIMPLEX, block).standard_exponential((count, n + 1))
+        t = e / e.sum(axis=1, keepdims=True)
+        ex = [
+            (u * np.exp(scale * t[:, j, None] * lam)[:, None, :]) @ u.conj().T
+            for j in range(n + 1)
+        ]
+        y = 0.0
+        for phi in itertools.permutations(range(n)):
+            m = ex[0]
+            for j, k in enumerate(phi):
+                m = m @ dirs[k] @ ex[j + 1]
+            y = y + m
+        ys.append(y / math.factorial(n))
+    ys = np.concatenate(ys)
+    var = ys.real.var(axis=0, ddof=1) + ys.imag.var(axis=0, ddof=1)
+    return ys.mean(axis=0), np.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_mc_matches_per_sample_reference(d, scale):
+    # 5000 samples span two Philox blocks
+    gen = np.random.default_rng(53 + d)
+    for n in range(5):
+        x = random_hermitian(gen, d)
+        x *= 1.5 / op_norm(x)
+        dirs = [random_hermitian(gen, d) for _ in range(n)]
+        est = exp_derivative_mc(x, dirs, samples=5000, seed=21, scale=scale)
+        mean, se = mc_reference(x, dirs, 5000, 21, scale)
+        assert np.max(np.abs(est.matrix - mean)) <= 1e-12 * np.max(np.abs(mean))
+        if n == 0 or d == 1:
+            # commuting factors: every sample gives the same matrix, and the
+            # standard error is rounding of the one-pass variance
+            assert np.max(est.std_error) <= 1e-6 * np.max(np.abs(mean))
+        else:
+            assert np.max(np.abs(est.std_error - se)) <= 1e-12 * np.max(se)
 
 
 def test_sample_simplex_properties():

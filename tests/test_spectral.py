@@ -1,6 +1,7 @@
 """Scalar functions of Hermitian matrices: direct spectral application,
 divided-difference derivatives, and the Fourier synthesis path."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -31,6 +32,7 @@ from hermcalc.spectral import (
     function_derivative_dd,
     function_derivative_fourier,
     mollifier_weight,
+    simpson_weights,
 )
 
 
@@ -230,6 +232,84 @@ def test_fourier_transform_of_gaussian():
     err = np.max(np.abs(table.ghat[band] - ref[band]))
     assert err < 1e-8
     assert abs(table.ghat[mid].real - 0.3989422804014327) < 1e-9
+
+
+def quadrature_samples(g, r, nt):
+    """The transform's integrand g(t) w(t) / 2pi on its nt Simpson nodes
+    over [-r-1, r+1], w the mollifier times the Simpson weights, formed
+    with the same operations as the library so the values agree bitwise."""
+    width = r + 1.0
+    t = np.linspace(-width, width, nt)
+    wt = simpson_weights(nt, t[1] - t[0])
+    samples = np.asarray(g.eval_derivative(t, 0), dtype=np.complex128)
+    samples *= mollifier_weight(t, r) * wt / (2.0 * np.pi)
+    return t, samples
+
+
+TRANSFORM_FUNCTIONS = [
+    GaussianFunction(),
+    SinFunction(),
+    ExpFunction(),
+    MonomialFunction(3),
+    PolynomialFunction([0.5, -1.0, 0.25, 0.1]),
+]
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
+@pytest.mark.parametrize("g", TRANSFORM_FUNCTIONS, ids=lambda g: g.label())
+def test_fourier_table_matches_dense_sum(g, r):
+    # the table on its documented grid, against the quadrature sum
+    # sum_j samples_j exp(-i s t_j) formed densely, row block by row block
+    table = fourier_table(g, r, n_max=2)
+    m = (len(table.s) - 1) // 2
+    np.testing.assert_array_equal(table.s, np.pi / (4.0 * (r + 1.0)) * np.arange(-m, m + 1))
+    t, samples = quadrature_samples(g, r, table.nt)
+    ref = np.concatenate(
+        [np.exp(-1j * np.outer(table.s[lo : lo + 256], t)) @ samples
+         for lo in range(0, len(table.s), 256)]
+    )
+    assert np.max(np.abs(table.ghat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_fourier_table_gaussian_bins_match_mpmath():
+    # exact nodes t_j = -w + 2wj/(nt-1) and bins s_k = k pi / (4w) at 40
+    # digits, with the table's own double samples as the integrand. Every
+    # bin is within an FFT's rounding, log2(N) eps ||samples||_2, plus the
+    # rounding of the stored value; bins 10 to 24, |ghat| from 1e-2 to
+    # 4e-4, are within 1e-17.
+    r = 2.0
+    table = fourier_table(GaussianFunction(), r, n_max=2)
+    _, samples = quadrature_samples(GaussianFunction(), r, table.nt)
+    eps = np.finfo(float).eps
+    fft_err = np.log2(4 * (table.nt - 1)) * eps * np.linalg.norm(samples)
+    mid = (len(table.s) - 1) // 2
+    with mp.workdps(40):
+        w = mp.mpf(r) + 1
+        nodes = [-w + 2 * w * j / (table.nt - 1) for j in range(table.nt)]
+        terms = [mp.mpc(c.real, c.imag) for c in samples]
+        for k in range(32):
+            s = k * mp.pi / (4 * w)
+            ref = mp.fsum(c * mp.expj(-s * tj) for c, tj in zip(terms, nodes))
+            got = table.ghat[mid + k]
+            err = abs(mp.mpc(got.real, got.imag) - ref)
+            assert err <= fft_err + eps * abs(ref)
+            if k in (10, 14, 16, 18, 24):
+                assert err <= 1e-17
+
+
+@pytest.mark.parametrize("g", [SinFunction(), ExpFunction()], ids=lambda g: g.label())
+def test_fourier_tables_at_radius_six(g):
+    # these tables used to raise GridError: the dense sum's phase rounding
+    # at s t up to about 4500 rad kept the grid edge above the noise cut
+    table = fourier_table(g, 6.0, n_max=2)
+    assert table.tail_fraction <= 1e-8
+    gen = np.random.default_rng(73)
+    x = random_hermitian(gen, 5)
+    x *= 5.5 / op_norm(x)
+    dirs = [random_hermitian(gen, 5) for _ in range(2)]
+    a = function_derivative_fourier(table, x, dirs).matrix
+    b = function_derivative_dd(g, x, dirs).matrix
+    assert op_norm(a - b) <= 1e-6 * op_norm(b)
 
 
 def test_fourier_table_diagnostics(gaussian_table):
