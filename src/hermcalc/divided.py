@@ -10,7 +10,9 @@ eigenvalue chains:
     T[i0, in] = sum over middle indices of
         V1[i0, i1] ... Vn[i(n-1), in] * g[lam_i0, ..., lam_in]
 
-summed over all orderings of the directions.
+summed over all orderings of the directions. derivative_matrix sums them by
+subsets, as the Monte Carlo kernel does, and folds the last direction into
+the contraction with the tensor, so it builds nothing of the tensor's size.
 
 chain_dd is the one engine for those values. It evaluates
 g[z t_0, ..., z t_m] for a whole array of ascending chains t, with an
@@ -48,13 +50,6 @@ from .errors import OrderSupportError
 TAYLOR_SPAN = 1.0
 _LOG_EPS = float(np.log(np.finfo(float).eps))
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
-
-_EINSUM = {
-    1: "ab,ab->ab",
-    2: "ab,bc,abc->ac",
-    3: "ab,bc,cd,abcd->ad",
-    4: "ab,bc,cd,de,abcde->ae",
-}
 
 
 def _taylor_terms(g, j, rho):
@@ -156,16 +151,6 @@ def chain_tensor(lam, n, dd_of_chains):
     return tensor
 
 
-def contract_ordered(tensor, dirs_seq):
-    """Contract the chain tensor with one ordering of eigenbasis directions."""
-    n = len(dirs_seq)
-    if n == 0:
-        return np.diag(tensor)
-    if n == 1:
-        return dirs_seq[0] * tensor
-    return np.einsum(_EINSUM[n], *dirs_seq, tensor, optimize=True)
-
-
 def to_eigenbasis(dec, dirs):
     """Directions rotated into the eigenbasis: U* V U."""
     uh = dec.vectors.conj().T
@@ -177,9 +162,29 @@ def derivative_matrix(h, dirs, dd_of_chains):
     its eigenbasis, contract against the chain tensor summed over all
     direction orderings, rotate back."""
     dec = h.eig()
-    dirs_eig = to_eigenbasis(dec, dirs)
-    tensor = chain_tensor(dec.eigenvalues, len(dirs), dd_of_chains)
-    core = np.zeros((h.dim, h.dim), dtype=np.complex128)
-    for phi in itertools.permutations(range(len(dirs))):
-        core += contract_ordered(tensor, [dirs_eig[i] for i in phi])
+    w = to_eigenbasis(dec, dirs)
+    n, d = len(dirs), h.dim
+    tensor = chain_tensor(dec.eigenvalues, n, dd_of_chains)
+    if n < 2:
+        core = w[0] * tensor if n else np.diag(tensor)
+    else:
+        # Sum over orderings by subsets, as expderiv._mc_chunk does per
+        # sample: paths[mask] holds, summed over the orderings of the j
+        # directions in mask, V_1[i0, i1] ... V_j[i(j-1), ij].
+        paths = {0: np.ones(d)}
+        for _ in range(n - 1):
+            nxt = {}
+            for mask, p in paths.items():
+                for k in (k for k in range(n) if not mask >> k & 1):
+                    term = p[..., None] * w[k]
+                    key = mask | 1 << k
+                    if nxt.setdefault(key, term) is not term:
+                        nxt[key] += term
+            paths = nxt
+        # the one direction each path misses closes it inside the contraction
+        t, full = tensor.reshape(d, -1, d, d), (1 << n) - 1
+        core = sum(
+            np.einsum("amc,cb,amcb->ab", p.reshape(d, -1, d), w[(full ^ m).bit_length() - 1], t)
+            for m, p in paths.items()
+        )
     return dec.vectors @ core @ dec.vectors.conj().T

@@ -48,15 +48,15 @@ class HermitianMatrix:
 
     __slots__ = ("array", "dim", "defect", "_eig")
 
-    def __init__(self, matrix, reject_tol=HERMITIAN_REJECT_TOL):
+    def __init__(self, matrix):
         arr = validate_matrix(matrix)
         anti = arr - arr.conj().T
         scale = frobenius(arr)
         defect = 0.5 * frobenius(anti)
-        if scale > 0 and 2.0 * defect > reject_tol * scale:
+        if scale > 0 and 2.0 * defect > HERMITIAN_REJECT_TOL * scale:
             raise ParseError(
                 f"matrix is not Hermitian: ||M - M*|| = {2 * defect:.3e} "
-                f"exceeds {reject_tol:g} * ||M|| = {reject_tol * scale:.3e}"
+                f"exceeds {HERMITIAN_REJECT_TOL:g} * ||M|| = {HERMITIAN_REJECT_TOL * scale:.3e}"
             )
         self.array = 0.5 * (arr + arr.conj().T)
         self.dim = arr.shape[0]

@@ -42,8 +42,3 @@ def random_hermitian(d, rng, scale=1.0):
     """Random Hermitian matrix with Gaussian entries, (G + G*) / 2."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * 0.5 * (g + g.conj().T)
-
-
-def random_complex(d, rng, scale=1.0):
-    """Random dense complex matrix with Gaussian entries."""
-    return scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))

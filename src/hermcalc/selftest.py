@@ -48,12 +48,12 @@ def _unit_dirs(d, n, gen):
     return dirs
 
 
-def _check_simplex_volume(seed, quick, threads):
+def _check_simplex_volume(seed, quick):
     """MC volume of the standard corner simplex against 1/n! for n = 1..5."""
     samples = 2 * 10**5 if quick else 10**6
     worst = 0.0
     for n in range(1, 6):
-        est = simplex_volume_mc(n, samples=samples, seed=seed, threads=threads)
+        est = simplex_volume_mc(n, samples=samples, seed=seed)
         # resolved through the module so a corrupted constant is caught
         ref = expderiv.reference_simplex_volume(n)
         gap = abs(est.value - ref)
@@ -68,7 +68,7 @@ def _check_simplex_volume(seed, quick, threads):
     return True, f"n=1..5 within 3 sigma (worst {worst:.2f}) at {samples} samples"
 
 
-def _check_composition_count(seed, quick, threads):
+def _check_composition_count(seed, quick):
     cap = 6 if quick else 8
     for n in range(0, cap + 1):
         for k in range(0, cap + 1):
@@ -79,7 +79,7 @@ def _check_composition_count(seed, quick, threads):
     return True, f"all (n, k) up to {cap} match the binomial count"
 
 
-def _check_power_vs_words(seed, quick, threads):
+def _check_power_vs_words(seed, quick):
     """Ordered power-derivative sum against brute-force word enumeration."""
     instances = 20 if quick else 100
     gen = generator(seed, STREAM_TEST, 1)
@@ -100,7 +100,7 @@ def _check_power_vs_words(seed, quick, threads):
     return True, f"{instances} instances, worst relative deviation {worst:.3e}"
 
 
-def _check_dd_vs_mc(seed, quick, threads):
+def _check_dd_vs_mc(seed, quick):
     instances = 6 if quick else 50
     samples = 2 * 10**4 if quick else 10**5
     gen = generator(seed, STREAM_TEST, 2)
@@ -111,9 +111,7 @@ def _check_dd_vs_mc(seed, quick, threads):
         x = random_hermitian(d, gen)
         dirs = [random_hermitian(d, gen) for _ in range(n)]
         dd = exp_derivative_dd(x, dirs).matrix
-        mc = exp_derivative_mc(
-            x, dirs, samples=samples, seed=seed + i, threads=threads
-        )
+        mc = exp_derivative_mc(x, dirs, samples=samples, seed=seed + i)
         se = np.maximum(mc.std_error, 1e-15)
         frac = float(np.mean(np.abs(mc.matrix - dd) <= 3.0 * se))
         worst_frac = min(worst_frac, frac)
@@ -122,7 +120,7 @@ def _check_dd_vs_mc(seed, quick, threads):
     return True, f"{instances} instances, worst within-3-sigma fraction {worst_frac:.3f}"
 
 
-def _check_dd_vs_quadrature(seed, quick, threads):
+def _check_dd_vs_quadrature(seed, quick):
     instances = 10 if quick else 50
     gen = generator(seed, STREAM_TEST, 3)
     worst = 0.0
@@ -140,7 +138,7 @@ def _check_dd_vs_quadrature(seed, quick, threads):
     return True, f"{instances} instances, worst relative gap {worst:.3e}"
 
 
-def _check_imaginary_exp_unitary(seed, quick, threads):
+def _check_imaginary_exp_unitary(seed, quick):
     count = 30 if quick else 100
     gen = generator(seed, STREAM_TEST, 4)
     worst = 0.0
@@ -155,7 +153,7 @@ def _check_imaginary_exp_unitary(seed, quick, threads):
     return True, f"{count} matrices, worst |norm - 1| = {worst:.3e}"
 
 
-def _check_exp_sum_rule(seed, quick, threads):
+def _check_exp_sum_rule(seed, quick):
     """exp(x + y) = exp(x) exp(y) for commuting Hermitian pairs."""
     count = 15 if quick else 50
     gen = generator(seed, STREAM_TEST, 5)
@@ -181,7 +179,7 @@ def _check_exp_sum_rule(seed, quick, threads):
     return True, f"{count} commuting pairs, worst relative defect {worst:.3e}"
 
 
-def _check_exp_time_derivative(seed, quick, threads):
+def _check_exp_time_derivative(seed, quick):
     """d/ds exp(s x) = x exp(s x), via the derivative at s x along x."""
     count = 15 if quick else 50
     gen = generator(seed, STREAM_TEST, 6)
@@ -200,7 +198,7 @@ def _check_exp_time_derivative(seed, quick, threads):
     return True, f"{count} instances, worst relative defect {worst:.3e}"
 
 
-def _check_derivative_scaling_bound(seed, quick, threads):
+def _check_derivative_scaling_bound(seed, quick):
     """||D^n exp(i s x)|| never beats |s|^n on unit directions."""
     count = 12 if quick else 40
     gen = generator(seed, STREAM_TEST, 7)
@@ -220,7 +218,7 @@ def _check_derivative_scaling_bound(seed, quick, threads):
     return True, f"{count} instances, largest norm ratio {worst:.6f}"
 
 
-def _check_power_seminorm(seed, quick, threads):
+def _check_power_seminorm(seed, quick):
     ks = (2, 4) if quick else (1, 2, 3, 4, 5, 6)
     ns = (1, 2) if quick else (1, 2, 3)
     radii = (0.5, 1.0) if quick else (0.5, 1.0, 2.0)
@@ -231,24 +229,20 @@ def _check_power_seminorm(seed, quick, threads):
                 continue
             for r in radii:
                 bound = power_bound(k, n, r)
-                est = probe_seminorm(
-                    MonomialFunction(k), n, r, 3, budget=samples,
-                    seed=seed, threads=threads,
-                )
+                est = probe_seminorm(MonomialFunction(k), n, r, 3, budget=samples, seed=seed)
                 if est.value > bound * (1.0 + 1e-9):
                     return False, (
                         f"k={k} n={n} r={r}: probe {est.value:.6e} exceeds bound {bound:.6e}"
                     )
     # tight commuting witness: x = r I reaches k r^(k-1) at n = 1
     bound = power_bound(2, 1, 1.0)
-    est = probe_seminorm(MonomialFunction(2), 1, 1.0, 3, budget=40,
-                         seed=seed, threads=threads)
+    est = probe_seminorm(MonomialFunction(2), 1, 1.0, 3, budget=40, seed=seed)
     if est.value < 0.999 * bound:
         return False, f"tight case k=2 n=1 reaches only {est.value / bound:.4f} of the bound"
     return True, f"monomial probes stay under the factorial bound; tight case at {est.value / bound:.4f}"
 
 
-def _check_sobolev_seminorm(seed, quick, threads):
+def _check_sobolev_seminorm(seed, quick):
     functions = [ExpFunction(), SinFunction(), GaussianFunction(), MonomialFunction(3)]
     ns = (0, 1) if quick else (0, 1, 2)
     radii = (1.0,) if quick else (0.5, 1.0, 2.0)
@@ -260,8 +254,7 @@ def _check_sobolev_seminorm(seed, quick, threads):
             for r in radii:
                 for d in dims:
                     bound = sobolev_bound(g, n, r)
-                    est = probe_seminorm(g, n, r, d, budget=samples,
-                                         seed=seed, threads=threads)
+                    est = probe_seminorm(g, n, r, d, budget=samples, seed=seed)
                     slack = bound - est.value
                     worst_slack = min(worst_slack, slack)
                     if est.value > bound + 1e-9:
@@ -272,7 +265,7 @@ def _check_sobolev_seminorm(seed, quick, threads):
     return True, f"all probes under the seminorm bound (smallest slack {worst_slack:.3e})"
 
 
-def _check_dd_vs_fourier(seed, quick, threads):
+def _check_dd_vs_fourier(seed, quick):
     gen = generator(seed, STREAM_TEST, 8)
     functions = [GaussianFunction(), SinFunction()]
     if not quick:
@@ -305,7 +298,7 @@ def _check_dd_vs_fourier(seed, quick, threads):
     return True, f"two paths agree; worst gap at {worst:.4f} of tolerance"
 
 
-def _check_fd_convergence(seed, quick, threads):
+def _check_fd_convergence(seed, quick):
     gen = generator(seed, STREAM_TEST, 9)
     d = 4
     x = random_hermitian(d, gen)
@@ -363,15 +356,16 @@ CHECKS = [
 def run_selftest(seed, quick=True, threads=1, names=None):
     """Run the invariant suite; returns a JSON-ready report dict.
 
-    The report is fully determined by (seed, quick, threads, names): no
-    timestamps or timings, so identical invocations give identical bytes.
+    The report is fully determined by (seed, quick, names): no timestamps
+    or timings, so identical invocations give identical bytes. threads is
+    accepted and ignored.
     """
     selected = CHECKS if names is None else [c for c in CHECKS if c[0] in set(names)]
     results = []
     failed = []
     for name, fn in selected:
         try:
-            ok, detail = fn(seed, quick, threads)
+            ok, detail = fn(seed, quick)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(

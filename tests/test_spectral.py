@@ -81,14 +81,17 @@ def test_dd_exp_matches_dedicated_path():
 
 
 def test_dd_monomial_matches_word_expansion():
+    # every order of the derivative core against the word expansion in the
+    # original basis, which shares no code with it; distinct directions
     gen = np.random.default_rng(64)
-    x = random_hermitian(gen, 4)
-    v = random_hermitian(gen, 4)
-    w = random_hermitian(gen, 4)
-    for n, dirs in ((1, [v]), (2, [v, w])):
-        a = function_derivative_dd(MonomialFunction(4), x, dirs).matrix
-        b = power_derivative(4, n, x, dirs)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-11 * max(frobenius(b), 1.0))
+    for d in (1, 2, 5):
+        x = random_hermitian(gen, d)
+        dirs = [random_hermitian(gen, d) for _ in range(4)]
+        for k in (4, 6):
+            for n in range(5):
+                a = function_derivative_dd(MonomialFunction(k), x, dirs[:n]).matrix
+                b = power_derivative(k, n, x, dirs[:n])
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-11 * max(frobenius(b), 1.0))
 
 
 def test_dd_polynomial_is_sum_of_monomials():
