@@ -9,8 +9,8 @@ point applied to direction matrices:
     sum over orderings of exp(t0 x) v exp(t1 x) ... exp(tn x), with the
     simplex carrying total mass 1/n!.
 
-Both accept a complex scale factor z and differentiate at z*x, which is
-how the Fourier path evaluates derivatives at purely imaginary arguments.
+Both accept a complex scale factor z and differentiate at z*x; the dd
+route takes the divided differences over the complex nodes z lam.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from math import factorial
 import numpy as np
 
 from . import rng
-from .divided import chain_dd, derivative_matrix, to_eigenbasis
+from .divided import derivative_matrix, to_eigenbasis
 from .errors import CapExceededError, OverflowRangeError, ParseError
 from .functions import ExpFunction
 from .linalg import HermitianMatrix, as_array, eig, frobenius
@@ -123,8 +123,7 @@ def exp_derivative_dd(x, dirs, scale=1.0):
     scale = complex(scale)
     if abs(scale.real) * np.max(np.abs(h.eig().eigenvalues)) > EXP_ARG_LIMIT:
         raise OverflowRangeError("exp derivative: spectrum too large for exp")
-    z = np.array([scale])
-    matrix = derivative_matrix(h, dirs, lambda t: chain_dd(ExpFunction(), t, z)[:, 0])
+    matrix = derivative_matrix(h, dirs, ExpFunction(), scale)
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
 
 

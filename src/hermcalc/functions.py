@@ -17,11 +17,12 @@ from .errors import OrderSupportError, ParseError
 
 class ScalarFunction:
     """Base: subclasses define eval_derivative(t, order), max_order (None:
-    every order) and degree (a polynomial's degree, None otherwise)."""
+    every order), degree (a polynomial's) and bandwidth (|g^(k)| <= A B^k)."""
 
     kind = "abstract"
     max_order = None
     degree = None
+    bandwidth = None
 
     def eval_derivative(self, t, order):
         raise NotImplementedError
@@ -41,7 +42,7 @@ class ScalarFunction:
 
 
 class ExpFunction(ScalarFunction):
-    """exp, also at complex arguments (the exp and Fourier routes use z t)."""
+    """exp, also at complex arguments (the exp route uses z t)."""
 
     kind = "exp"
 

@@ -3,12 +3,13 @@
 apply_function evaluates g on the spectrum. function_derivative_dd
 contracts divided differences of g over eigenvalue chains (exact route).
 function_derivative_fourier synthesizes the same derivative from a
-frequency table: mollify g to compact support, transform, then integrate
-    integral of ghat(s) (is)^n D^n(exp)(isx)[dirs] ds,
-which needs only derivatives of exp at imaginary arguments. The two
-routes are algorithmically independent, which is what makes their
-agreement a meaningful check. The transform is Simpson's rule on a
-t-grid commensurate with the s-grid, so it is one exact FFT.
+frequency table: mollify g to compact support, transform, and take divided
+differences of g~(t) = sum_k w_k ghat(s_k) exp(i s_k t); they equal
+sum_k w_k ghat(s_k) (i s_k)^n exp[i s_k t_0, ..., i s_k t_n], the s-grid
+quadrature of ghat(s) (is)^n D^n(exp)(isx)[dirs]. The mollifier, transform,
+s-grid and tail estimate share no code with the dd route, which makes the
+routes' agreement a meaningful check. The transform is Simpson's rule on
+a t-grid commensurate with the s-grid, so it is one exact FFT.
 """
 
 from dataclasses import dataclass
@@ -16,18 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .divided import chain_dd, derivative_matrix
+from .divided import derivative_matrix
 from .errors import CapExceededError, GridError, ParseError, RadiusError
 from .expderiv import MultilinearDerivative, check_derivative_args
-from .functions import ExpFunction
+from .functions import ScalarFunction
 from .linalg import HermitianMatrix
 
 FOURIER_S_MAX_CAP = 640.0
 FOURIER_TAIL_TOL = 1e-8
-# (chain, node, z) entries per engine call in the synthesis. Larger blocks
-# were no faster and, being kept on the heap between requests, raised the
-# peak RSS of a process that builds Fourier tables after them.
-SYNTH_BLOCK = 1 << 14
 
 
 def apply_function(g, x):
@@ -42,7 +39,7 @@ def function_derivative_dd(g, x, dirs):
     """n-th derivative of x -> g(x) applied to Hermitian directions,
     via the divided-difference chain tensor."""
     h, dirs = check_derivative_args(x, dirs)
-    matrix = derivative_matrix(h, dirs, lambda t: chain_dd(g, t))
+    matrix = derivative_matrix(h, dirs, g)
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd")
 
 
@@ -247,9 +244,25 @@ def fourier_table(g, r, n_max=2):
     )
 
 
+class TrigonometricSum(ScalarFunction):
+    """g~(t) = sum_k w_k ghat_k exp(i s_k t) of a FourierTable, bandwidth max |s_k|."""
+
+    kind = "fourier"
+
+    def __init__(self, table):
+        self.s, self.coeffs = table.s, table.weights * table.ghat
+        self.bandwidth = float(np.max(np.abs(table.s)))
+
+    def eval_derivative(self, t, order):
+        # the nodes are eigenvalues and midpoints, so few are distinct
+        u, inverse = np.unique(np.asarray(t, dtype=float), return_inverse=True)
+        vals = np.exp(1j * np.outer(u, self.s)) @ (self.coeffs * (1j * self.s) ** order)
+        return vals[inverse].reshape(np.shape(t))
+
+
 def function_derivative_fourier(table, x, dirs):
-    """n-th derivative of x -> g(x) from the frequency table: quadrature of
-    ghat(s) (is)^n times the exp derivative at isx over the s-grid."""
+    """n-th derivative of x -> g(x) from the frequency table, as divided
+    differences of the table's trigonometric sum."""
     h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
     if n > table.n_max:
@@ -262,15 +275,5 @@ def function_derivative_fourier(table, x, dirs):
             f"fourier derivative: ||x|| = {norm:.6g} outside table radius "
             f"{table.radius:g}"
         )
-    z = 1j * table.s
-    wn = table.weights * table.ghat * z**n
-    exp = ExpFunction()
-
-    def dd(t):
-        step = max(1, SYNTH_BLOCK // (t.shape[1] * len(z)))
-        return np.concatenate(
-            [chain_dd(exp, t[lo : lo + step], z) @ wn for lo in range(0, len(t), step)]
-        )
-
-    matrix = derivative_matrix(h, dirs, dd)
+    matrix = derivative_matrix(h, dirs, TrigonometricSum(table))
     return MultilinearDerivative(matrix=matrix, order=n, method="fourier")

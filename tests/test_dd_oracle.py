@@ -75,7 +75,7 @@ def test_engine_matches_mpmath_for_exp_at_imaginary_scale(m):
     z = np.array([0.25j, 1.7j, -3.0j])
     for span in SPANS:
         t = spread_nodes(m, span)
-        got = chain_dd(ExpFunction(), t[None, :], z)[0]
+        got = chain_dd(ExpFunction(), z[:, None] * t)
         for k, zk in enumerate(z):
             exact = mp_divided_difference(mp.exp, t, complex(zk))
             assert abs(got[k] - exact) <= REL_TOL * abs(exact), (m, span, zk, got[k], exact)
@@ -124,7 +124,7 @@ def test_exp_engine_on_random_clusters(gaps, start, imaginary, scale):
     # away from zero (phases spread over less than 2 radians)
     t = start + np.concatenate([[0.0], np.cumsum(10.0 ** np.array(gaps))])
     z = scale / max(t[-1] - t[0], 1.0) * (1j if imaginary else 1.0)
-    got = chain_dd(ExpFunction(), t[None, :], np.array([z]))[0, 0]
+    got = chain_dd(ExpFunction(), z * t[None, :])[0]
     exact = mp_divided_difference(mp.exp, t, z)
     assert abs(got - exact) <= REL_TOL * abs(exact)
 
@@ -162,6 +162,23 @@ def test_exp_derivative_matches_block_expm_on_clusters(n):
         ref = block_expm_derivative(x, dirs)
         err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
         assert err <= REL_TOL, (n, gap, err)
+
+
+@pytest.mark.parametrize("scale", [0.0, -2.0, 0.7 - 0.4j, 3.3j])
+def test_scaled_exp_derivative_matches_block_expm(scale):
+    # complex nodes z lam: at z = 0 every node coincides, at z = -2 they
+    # run backwards along the real line
+    gen = np.random.default_rng(400)
+    for d, n in ((1, 2), (3, 1), (4, 3), (6, 2), (6, 3)):
+        x = clustered_hermitian(gen, d, 1e-6) if d >= 4 else np.diag(gen.uniform(-1, 1, d))
+        dirs = []
+        for _ in range(n):
+            a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+            dirs.append(0.5 * (a + a.conj().T))
+        got = exp_derivative_dd(x, dirs, scale=scale).matrix
+        ref = block_expm_derivative(scale * x, dirs)
+        err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert err <= REL_TOL, (scale, d, n, err)
 
 
 def test_spline_is_not_taylor_expanded_past_its_order():

@@ -175,7 +175,7 @@ def test_parse_function_specs():
 
 def exp_dd(chain, z):
     """Divided differences of exp over the nodes z * chain, one per z."""
-    return chain_dd(ExpFunction(), np.array([chain]), z)[0]
+    return chain_dd(ExpFunction(), np.outer(z, chain))
 
 
 def test_exp_dd_first_order_formula():
@@ -342,6 +342,60 @@ def test_fourier_derivative_matches_dd(gaussian_table):
         a = function_derivative_fourier(gaussian_table, x, dirs).matrix
         b = function_derivative_dd(GaussianFunction(), x, dirs).matrix
         assert op_norm(a - b) <= 1e-5 * (op_norm(b) + 1e-12)
+
+
+def clustered_fourier_errors(g, d):
+    """Relative op-norm errors against dd of the r=2 synthesis of g at d,
+    rows n = 1, 2, 3, columns gap = 1e-1 ... 1e-9: four eigenvalues a gap
+    apart near 0.4, the rest in [-1.8, 1.8], in a random basis."""
+    table = fourier_table(g, 2.0, n_max=3)
+    gen = np.random.default_rng(80 + d)
+    errors = np.empty((3, 9))
+    for n in (1, 2, 3):
+        for e in range(1, 10):
+            lam = np.concatenate([0.4 + 10.0**-e * np.arange(4), gen.uniform(-1.8, 1.8, d - 4)])
+            q, _ = np.linalg.qr(random_hermitian(gen, d))
+            x = (q * lam) @ q.conj().T
+            x = 0.5 * (x + x.conj().T)
+            dirs = [random_hermitian(gen, d) for _ in range(n)]
+            a = function_derivative_fourier(table, x, dirs).matrix
+            b = function_derivative_dd(g, x, dirs).matrix
+            errors[n - 1, e - 1] = op_norm(a - b) / op_norm(b)
+    return errors
+
+
+# clustered_fourier_errors of the earlier synthesis, which summed
+# w_k ghat_k (i s_k)^n exp[i s_k t_0, ..., i s_k t_n] over the s-grid
+EARLIER_CLUSTERED_ERRORS = {
+    ("gaussian", 4): [
+        [3.15e-13, 2.66e-13, 5.38e-13, 5.13e-13, 5.09e-13, 5.07e-13, 5.07e-13, 5.07e-13, 5.07e-13],
+        [1.51e-11, 5.87e-11, 4.44e-11, 3.88e-11, 4.30e-11, 4.33e-11, 4.33e-11, 4.33e-11, 4.33e-11],
+        [8.06e-09, 1.80e-08, 2.96e-08, 2.61e-08, 2.54e-08, 2.54e-08, 2.53e-08, 2.53e-08, 2.53e-08],
+    ],
+    ("gaussian", 8): [
+        [3.14e-13, 2.01e-13, 6.09e-13, 2.93e-13, 1.70e-13, 5.76e-13, 3.58e-13, 3.40e-13, 3.57e-13],
+        [1.95e-10, 3.22e-11, 1.69e-11, 3.72e-11, 3.57e-11, 3.93e-11, 2.03e-11, 3.06e-11, 3.45e-11],
+        [7.67e-09, 4.42e-09, 8.41e-09, 6.79e-09, 9.14e-09, 1.31e-08, 9.42e-09, 1.01e-08, 1.40e-08],
+    ],
+    ("sin", 4): [
+        [1.01e-13, 1.50e-13, 1.11e-13, 2.12e-13, 2.21e-13, 2.24e-13, 2.24e-13, 2.24e-13, 2.24e-13],
+        [2.35e-11, 1.82e-10, 4.36e-10, 4.25e-10, 4.16e-10, 4.15e-10, 4.15e-10, 4.15e-10, 4.15e-10],
+        [4.29e-09, 2.13e-08, 2.00e-08, 3.45e-08, 3.80e-08, 3.83e-08, 3.83e-08, 3.83e-08, 3.83e-08],
+    ],
+    ("sin", 8): [
+        [2.12e-13, 7.34e-14, 3.12e-13, 3.71e-13, 1.28e-13, 4.81e-13, 1.86e-13, 1.43e-13, 2.65e-13],
+        [6.43e-11, 5.38e-11, 1.55e-10, 1.32e-10, 2.99e-10, 7.77e-11, 1.82e-10, 3.17e-10, 1.05e-10],
+        [4.00e-09, 8.18e-09, 2.43e-08, 1.14e-08, 1.92e-08, 1.60e-08, 1.16e-08, 2.26e-08, 3.16e-08],
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, d", sorted(EARLIER_CLUSTERED_ERRORS))
+def test_fourier_on_clustered_spectra(kind, d):
+    errors = clustered_fourier_errors(parse_function(kind), d)
+    earlier = np.array(EARLIER_CLUSTERED_ERRORS[kind, d])
+    assert np.all(errors <= 2.0 * earlier), errors / earlier
+    assert np.all(errors <= 1e-5), errors
 
 
 def test_fourier_radius_and_order_guards(gaussian_table):
