@@ -50,7 +50,7 @@ def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
     w = simpson_weights(nodes, t[1] - t[0])
     integrand = np.abs(np.asarray(g.eval_derivative(t, n + 1))) ** 2
     integral = float(w @ integrand)
-    head = float(abs(np.asarray(g.eval_derivative(np.array([0.0]), n))[0]))
+    head = float(abs(g.eval_derivative(0.0, n)))
     return head + np.sqrt(8.0 * r) * np.sqrt(integral / (2.0 * np.pi))
 
 

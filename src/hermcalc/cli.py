@@ -14,12 +14,13 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
 from . import __version__
 from .bounds import CSV_HEADER, bound_report, sobolev_bound
-from .divided import TAYLOR_SPAN
+from .divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
 from .errors import DomainError, HermcalcError, NumericError, ParseError
 from .expderiv import (
     check_derivative_args,
@@ -51,6 +52,7 @@ TOLERANCES = {
     "hermitian_defect": 1e-8,
     "eigensolver": "lapack-zheevd",
     "dd_taylor_span": TAYLOR_SPAN,
+    "dd_band_taylor_span": BAND_TAYLOR_SPAN,
     "fourier_tail_tol": FOURIER_TAIL_TOL,
     "probe_slack_floor": -1e-9,
 }
@@ -278,6 +280,7 @@ COMMANDS = {
 }
 
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hermcalc",
@@ -347,9 +350,8 @@ def _build_parser():
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code) if exc.code is not None else 0

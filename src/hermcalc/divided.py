@@ -22,12 +22,12 @@ table, over t_i..t_(i+j) with span w = |t_(i+j) - t_i|, follows one rule:
 
   * w <= TAYLOR_SPAN: the Taylor series about the midpoint c,
         sum_q g^(j+q)(c) / (j+q)! * h_q(t_i - c, ..., t_(i+j) - c),
-    h_q the complete homogeneous symmetric sums, for q = 0..Q with no exit
-    on a term that happens to be 0. A polynomial g takes its whole finite
-    series, Q = degree - j; any other g takes rho^Q <= eps, rho = w / 2,
-    which bounds the tail when g^(k)(c) / k! does not grow with k (exp, sin,
-    cos; the gaussian's grow like |c|^k / k!, which stays within 1e-13 for
-    midpoints |c| <= 15);
+    h_q the complete homogeneous symmetric sums, g's orders from one
+    g.derivatives call, for q = 0..Q with no exit on a term that happens to
+    be 0. A polynomial g takes its whole finite series, Q = degree - j; any
+    other g takes rho^Q <= eps, rho = w / 2, which bounds the tail when
+    g^(k)(c) / k! does not grow with k (exp, sin, cos; the gaussian's grow
+    like |c|^k / k!, which stays within 1e-13 for midpoints |c| <= 15);
   * otherwise the Newton recurrence (T[i+1, j-1] - T[i, j-1]) / (t_(i+j) - t_i).
 
 The recurrence is only used where it divides by more than 1, so its
@@ -90,10 +90,12 @@ def _taylor(g, t, j, sel, terms, dtype):
     for y in (nodes - mid[:, None]).T:
         for s in range(1, qmax + 1):
             h[s] += y[: count[s]] * h[s - 1][: count[s]]
+    u, inverse = np.unique(mid, return_inverse=True)
+    ders = g.derivatives(u, j, qmax).T
     acc = np.zeros(len(q), dtype=dtype)
     for s in range(qmax, -1, -1):
         k = count[s]
-        acc[:k] += np.asarray(g.eval_derivative(mid[:k], j + s)) * (h[s] / factorial(j + s))
+        acc[:k] += ders[s][inverse[:k]] * (h[s] / factorial(j + s))
     out = np.empty_like(acc)
     out[order] = acc
     return out
@@ -102,7 +104,7 @@ def _taylor(g, t, j, sel, terms, dtype):
 def chain_dd(g, chains):
     """g[t_0, ..., t_m] for every row t of the (C, m+1) array chains, by
     the module rule: rows ascending, or such rows times a complex z, which
-    g.eval_derivative must then accept. Returns shape (C,)."""
+    g.derivatives must then accept. Returns shape (C,)."""
     t = np.asarray(chains, dtype=complex if np.iscomplexobj(chains) else float)
     m = t.shape[1] - 1
     table = np.asarray(g.eval_derivative(t, 0))

@@ -1,31 +1,35 @@
 """Scalar functions g: R -> C with derivatives of arbitrary order.
 
 These feed three consumers: spectral application g(x), divided-difference
-derivative tensors (which need g's derivatives at clustered eigenvalues),
-and the seminorm bounds (which integrate |g^(n+1)|^2). Evaluation is
-numpy-vectorized over the argument.
+derivative tensors (one derivatives(t, j, q) call gives the orders j..j+q
+of g at clustered eigenvalues), and the seminorm bounds (which integrate
+|g^(n+1)|^2). Evaluation is numpy-vectorized over the argument.
 """
 
 import json
-from math import factorial
+from math import perm
 
 import numpy as np
-from scipy import special
 
 from .errors import OrderSupportError, ParseError
 
 
 class ScalarFunction:
-    """Base: subclasses define eval_derivative(t, order), max_order (None:
-    every order), degree (a polynomial's) and bandwidth (|g^(k)| <= A B^k)."""
+    """Base: subclasses define derivatives(t, j, q), the orders j..j+q of g
+    at t stacked on a new last axis, max_order (None: every order), degree
+    (a polynomial's) and bandwidth (|g^(k)| <= A B^k)."""
 
     kind = "abstract"
     max_order = None
     degree = None
     bandwidth = None
 
-    def eval_derivative(self, t, order):
+    def derivatives(self, t, j, q):
         raise NotImplementedError
+
+    def eval_derivative(self, t, order):
+        # [()] gives a scalar for a scalar t and the array itself otherwise
+        return self.derivatives(t, order, 0)[..., 0][()]
 
     def __call__(self, t):
         return self.eval_derivative(t, 0)
@@ -46,55 +50,39 @@ class ExpFunction(ScalarFunction):
 
     kind = "exp"
 
-    def eval_derivative(self, t, order):
-        return np.exp(np.asarray(t, dtype=complex if np.iscomplexobj(t) else float))
+    def derivatives(self, t, j, q):
+        return np.repeat(np.exp(np.asarray(t))[..., None], q + 1, axis=-1)
 
 
 class SinFunction(ScalarFunction):
+    """sin, whose orders cycle (sin, cos, -sin, -cos); cos starts one order on."""
+
     kind = "sin"
+    shift = 0
 
-    def eval_derivative(self, t, order):
-        return np.sin(np.asarray(t, dtype=float) + 0.5 * np.pi * (order % 4))
+    def derivatives(self, t, j, q):
+        s, c = np.sin(t), np.cos(t)
+        cycle = np.stack([s, c, -s, -c], axis=-1)
+        return cycle[..., (self.shift + j + np.arange(q + 1)) % 4]
 
 
-class CosFunction(ScalarFunction):
+class CosFunction(SinFunction):
     kind = "cos"
-
-    def eval_derivative(self, t, order):
-        return np.cos(np.asarray(t, dtype=float) + 0.5 * np.pi * (order % 4))
+    shift = 1
 
 
 class GaussianFunction(ScalarFunction):
-    """g(t) = exp(-t^2 / 2); derivatives through Hermite polynomials."""
+    """g(t) = exp(-t^2 / 2); g^(m+1) = -t g^(m) - m g^(m-1), as
+    g^(m) = (-1)^m He_m(t) g with the probabilists' Hermite polynomials."""
 
     kind = "gaussian"
 
-    def eval_derivative(self, t, order):
-        # d^m/dt^m exp(-t^2/2) = (-1)^m He_m(t) exp(-t^2/2) with the
-        # probabilists' Hermite polynomials He_m.
+    def derivatives(self, t, j, q):
         t = np.asarray(t, dtype=float)
-        return ((-1) ** order) * special.eval_hermitenorm(order, t) * np.exp(-0.5 * t * t)
-
-
-class MonomialFunction(ScalarFunction):
-    kind = "monomial"
-
-    def __init__(self, k):
-        k = int(k)
-        if k < 0:
-            raise ParseError(f"monomial: power must be >= 0, got {k}")
-        self.k = k
-        self.degree = k
-
-    def label(self):
-        return f"monomial:{self.k}"
-
-    def eval_derivative(self, t, order):
-        t = np.asarray(t, dtype=float)
-        if order > self.k:
-            return np.zeros_like(t)
-        coef = factorial(self.k) / factorial(self.k - order)
-        return coef * t ** (self.k - order)
+        ders = [np.zeros_like(t), np.exp(-0.5 * t * t)]
+        for m in range(j + q):
+            ders.append(-t * ders[-1] - m * ders[-2])
+        return np.stack(ders[j + 1 :], axis=-1)
 
 
 class PolynomialFunction(ScalarFunction):
@@ -106,30 +94,37 @@ class PolynomialFunction(ScalarFunction):
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ParseError("poly: coeffs must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.all(np.isfinite(arr)):
             raise ParseError("poly: coeffs must be finite")
-        self.coeffs = arr
+        self.coeffs = arr if np.any(arr.imag) else arr.real
         self.degree = len(arr) - 1
-        self._deriv_cache = {0: arr}
 
     def label(self):
-        return f"poly:{len(self.coeffs) - 1}"
+        return f"{self.kind}:{self.degree}"
 
-    def _deriv_coeffs(self, order):
-        if order not in self._deriv_cache:
-            prev = self._deriv_coeffs(order - 1)
-            self._deriv_cache[order] = prev[1:] * np.arange(1, len(prev))
-        return self._deriv_cache[order]
-
-    def eval_derivative(self, t, order):
-        t = np.asarray(t, dtype=float)
-        c = self._deriv_coeffs(order)
-        acc = np.zeros(t.shape, dtype=np.complex128)
-        for a in c[::-1]:
+    def derivatives(self, t, j, q):
+        c, t = self.coeffs, np.asarray(t, dtype=float)[..., None]
+        # rows[s, i] = c_(i+k) (i+k)! / i!, the coefficient of t^i in g^(k), k = j + s
+        rows = np.zeros((q + 1, len(c)), dtype=c.dtype)
+        for s, k in enumerate(range(j, min(j + q, self.degree) + 1)):
+            rows[s, : len(c) - k] = [c[i + k] * perm(i + k, k) for i in range(len(c) - k)]
+        acc = 0.0
+        for a in rows.T[::-1]:
             acc = acc * t + a
-        if np.all(np.abs(self.coeffs.imag) == 0):
-            return acc.real
         return acc
+
+
+class MonomialFunction(PolynomialFunction):
+    """t^k, the polynomial with coefficients e_k."""
+
+    kind = "monomial"
+
+    def __init__(self, k):
+        if not str(k).strip().isdecimal():
+            raise ParseError(f"monomial: power must be an integer >= 0, got {k!r}")
+        k = int(k)
+        super().__init__([0.0] * k + [1.0])
+        self.k = k
 
 
 class TabulatedFunction(ScalarFunction):
@@ -151,15 +146,15 @@ class TabulatedFunction(ScalarFunction):
         self.vs = vs
         self._spline = CubicSpline(ts, vs, bc_type="natural")
 
-    def eval_derivative(self, t, order):
-        self.check_order(order, "tabulated evaluation")
+    def derivatives(self, t, j, q):
+        self.check_order(j + q, "tabulated evaluation")
         t = np.asarray(t, dtype=float)
         if np.any(t < self.ts[0]) or np.any(t > self.ts[-1]):
             raise ParseError(
                 f"tabulated: argument outside table range "
                 f"[{self.ts[0]:g}, {self.ts[-1]:g}]"
             )
-        return self._spline(t, nu=order)
+        return np.stack([self._spline(t, nu=k) for k in range(j, j + q + 1)], axis=-1)
 
 
 _SIMPLE_KINDS = {
@@ -188,10 +183,7 @@ def function_from_dict(doc):
     if kind in _SIMPLE_KINDS:
         return _SIMPLE_KINDS[kind]()
     if kind == "monomial":
-        k = doc.get("k", params.get("k"))
-        if k is None:
-            raise ParseError("function spec: monomial needs a 'k' field")
-        return MonomialFunction(k)
+        return MonomialFunction(doc.get("k", params.get("k")))
     if kind in ("poly", "polynomial"):
         coeffs = doc.get("coeffs", params.get("coeffs"))
         if coeffs is None:
@@ -219,11 +211,7 @@ def parse_function(source):
     if text in _SIMPLE_KINDS:
         return _SIMPLE_KINDS[text]()
     if text.startswith("monomial:"):
-        try:
-            k = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"function spec: bad monomial degree in {text!r}") from None
-        return MonomialFunction(k)
+        return MonomialFunction(text.split(":", 1)[1])
     if text.startswith("poly:"):
         try:
             coeffs = [float(c) for c in text.split(":", 1)[1].split(",")]

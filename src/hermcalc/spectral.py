@@ -13,9 +13,9 @@ a t-grid commensurate with the s-grid, so it is one exact FFT.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
-from scipy import special
 
 from .divided import derivative_matrix
 from .errors import CapExceededError, GridError, ParseError, RadiusError
@@ -115,6 +115,11 @@ def _transform_on_grid(g, r, m, s_reach):
     return ghat, t[1] - t[0], nt, floor
 
 
+def _upper_gamma(a, x):
+    """Gamma(a, x) at integer a >= 1: (a - 1)! e^-x sum_(k < a) x^k / k!."""
+    return factorial(a - 1) * np.exp(-x) * sum(x**k / factorial(k) for k in range(a))
+
+
 def _tail_estimate(s_grid, ghat, floor, n):
     """Estimated mass of |s|^n |ghat(s)| beyond the grid edge.
 
@@ -176,8 +181,7 @@ def _tail_estimate(s_grid, ghat, floor, n):
         resid = float(np.sum((np.polyval(coef, np.sqrt(bs)) - ln_a) ** 2))
         amp = np.exp(coef[1])
         # int_S^inf s^n exp(-c sqrt(s)) ds = 2 Gamma(2n+2, c sqrt(S)) / c^(2n+2)
-        incomplete = special.gammaincc(2 * n + 2, c * np.sqrt(s_max)) * special.gamma(2 * n + 2)
-        tail = 2.0 * amp * 2.0 * incomplete / c ** (2 * n + 2)
+        tail = 2.0 * amp * 2.0 * _upper_gamma(2 * n + 2, c * np.sqrt(s_max)) / c ** (2 * n + 2)
         if best is None or resid < best[0]:
             best = (resid, tail)
     if best is None:
@@ -253,11 +257,12 @@ class TrigonometricSum(ScalarFunction):
         self.s, self.coeffs = table.s, table.weights * table.ghat
         self.bandwidth = float(np.max(np.abs(table.s)))
 
-    def eval_derivative(self, t, order):
-        # the nodes are eigenvalues and midpoints, so few are distinct
+    def derivatives(self, t, j, q):
+        # chain_dd's first level passes every chain's nodes: few are distinct
         u, inverse = np.unique(np.asarray(t, dtype=float), return_inverse=True)
-        vals = np.exp(1j * np.outer(u, self.s)) @ (self.coeffs * (1j * self.s) ** order)
-        return vals[inverse].reshape(np.shape(t))
+        weights = self.coeffs[:, None] * (1j * self.s[:, None]) ** np.arange(j, j + q + 1)
+        vals = np.exp(1j * np.outer(u, self.s)) @ weights
+        return vals[inverse.reshape(-1)].reshape(np.shape(t) + (q + 1,))
 
 
 def function_derivative_fourier(table, x, dirs):

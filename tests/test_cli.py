@@ -272,3 +272,33 @@ def test_output_is_deterministic(mats, tmp_path):
     d1["meta"].pop("argv")
     d2["meta"].pop("argv")
     assert d1 == d2
+
+
+def test_parser_is_reused_without_leaking_state(mats, tmp_path):
+    from hermcalc.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    code, doc = run(
+        ["deriv", "--matrix", mats["x"], "--function", "exp",
+         "--dir", mats["v"], "--dir", mats["v"]],
+        tmp_path, "d.json",
+    )
+    assert code == 0 and doc["order"] == 2
+    # a later request on the same parser sees none of the earlier --dir
+    code, doc = run(["deriv", "--matrix", mats["x"], "--function", "exp"], tmp_path, "a.json")
+    assert code == 0 and doc["method"] == "apply" and doc["order"] == 0
+    assert _build_parser().parse_args(["apply"]).dir == []
+    assert main(["apply", "--bogus-flag"]) == 2
+
+
+def test_fourier_artifact_records_both_taylor_spans(mats, tmp_path):
+    from hermcalc.divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
+
+    code, doc = run(
+        ["deriv", "--matrix", mats["x"], "--function", "gaussian", "--dir", mats["v"],
+         "--method", "fourier", "--radius", "2.0"],
+        tmp_path,
+    )
+    assert code == 0
+    assert doc["meta"]["tolerances"]["dd_taylor_span"] == TAYLOR_SPAN
+    assert doc["meta"]["tolerances"]["dd_band_taylor_span"] == BAND_TAYLOR_SPAN
