@@ -14,6 +14,17 @@ random Hermitian points (boundary-biased) and directions, preceded by two
 deterministic commuting candidates (x = +-r times identity with identity
 directions, where these bounds are tight) and followed by an annealed
 hill climb on the best candidate.
+
+The candidates are evaluated in stacks through the one derivative core:
+per stack one eigh of the (B, d, d) points, one chain_dd over every
+point's chains, one fold with a leading batch axis and one batch of
+singular values for the numerators and one for the direction norms. A
+stack holds at most PROBE_STACK_ENTRIES chain-tensor entries B d^(n+1),
+so d <= 8, n <= 2 takes up to 128 candidates at once and d = 32, n = 4
+one. The best candidate is the first of the largest in candidate order,
+as one at a time would find it, and each evaluation gives the same bits
+on a stack as alone. The climb steps run one after the other, each from
+the state the last one accepted.
 """
 
 import io
@@ -23,15 +34,20 @@ from math import factorial
 import numpy as np
 
 from . import rng
+from .divided import derivative_matrix
 from .errors import ParseError
+from .expderiv import check_derivative_args
 from .functions import MonomialFunction
-from .linalg import op_norm
-from .spectral import function_derivative_dd, simpson_weights
+from .linalg import eig, op_norm
+from .spectral import simpson_weights
 
 SOBOLEV_MIN_NODES = 2049
 PROBE_DEFAULT_BUDGET = 64
 PROBE_CLIMB_STEPS = 50
 PROBE_BOUNDARY_FRACTION = 0.7
+# chain-tensor entries B d^(n+1) per stack of candidates (1 MB complex):
+# bounds the memory, a d = 32, n = 4 probe goes one candidate at a time
+PROBE_STACK_ENTRIES = 1 << 16
 
 CSV_HEADER = "g_kind,n,r,d,bound,empirical,slack,samples,seed"
 
@@ -98,29 +114,43 @@ class BoundReport:
         )
 
 
-def _evaluate(g, x, dirs):
-    norms = [op_norm(v) for v in dirs]
-    denom = float(np.prod(norms)) if norms else 1.0
-    if denom == 0.0:
-        return 0.0
-    value = op_norm(function_derivative_dd(g, x, dirs).matrix)
-    return value / denom
+def _evaluate(g, xs, dirs):
+    """Derivative norms over direction-norm products at a stack of points:
+    xs (B, d, d) and nonzero dirs (B, n, d, d), both exactly Hermitian;
+    returns (B,)."""
+    dec = eig(xs)
+    value = op_norm(derivative_matrix(dec.eigenvalues, dec.vectors, dirs, g))
+    return value / np.prod(op_norm(dirs), axis=1)
 
 
-def _random_candidate(g, n, r, d, seed, index):
-    gen_x = rng.generator(seed, rng.STREAM_PROBE_X, index)
-    h = rng.random_hermitian(d, gen_x)
-    nrm = op_norm(h)
-    boundary = gen_x.random() < PROBE_BOUNDARY_FRACTION
-    target = r if boundary else r * gen_x.random()
-    x = h * (target / nrm) if nrm > 0 else np.zeros((d, d), dtype=np.complex128)
-    gen_v = rng.generator(seed, rng.STREAM_PROBE_DIRS, index)
-    dirs = []
-    for _ in range(n):
-        v = rng.random_hermitian(d, gen_v)
-        vn = op_norm(v)
-        dirs.append(v / vn if vn > 0 else np.eye(d, dtype=np.complex128))
-    return _evaluate(g, x, dirs), x, dirs
+def _stack_size(d, n):
+    """Candidates per stack: as many as keep B d^(n+1) within PROBE_STACK_ENTRIES, at least 1."""
+    return max(1, PROBE_STACK_ENTRIES // d ** (n + 1))
+
+
+def _candidate_stacks(n, r, d, seed, budget):
+    """The candidates in order, as stacks of points (B, d, d) and
+    unit-norm directions (B, n, d, d): first the two commuting ones, then
+    the random ones, drawn per index, _stack_size(d, n) at a time."""
+    eye, step = np.eye(d, dtype=np.complex128), _stack_size(d, n)
+    xs, dirs = np.stack([r * eye, -r * eye]), np.broadcast_to(eye, (2, n, d, d)).copy()
+    for lo in range(0, 2, step):
+        yield xs[lo : lo + step], dirs[lo : lo + step]
+    for lo in range(0, budget, step):
+        hs, targets, vs = [], [], []
+        for i in range(lo, min(lo + step, budget)):
+            gen_x = rng.generator(seed, rng.STREAM_PROBE_X, i)
+            hs.append(rng.random_hermitian(d, gen_x))
+            boundary = gen_x.random() < PROBE_BOUNDARY_FRACTION
+            targets.append(r if boundary else r * gen_x.random())
+            gen_v = rng.generator(seed, rng.STREAM_PROBE_DIRS, i)
+            vs.extend(rng.random_hermitian(d, gen_v) for _ in range(n))
+        hs = np.array(hs)
+        vs = np.array(vs, dtype=np.complex128).reshape(len(hs), n, d, d)
+        nrm, vn = op_norm(hs), op_norm(vs)
+        xs = hs * np.divide(targets, nrm, out=np.zeros(len(hs)), where=nrm > 0)[:, None, None]
+        unit = vs / np.where(vn > 0, vn, 1.0)[..., None, None]
+        yield xs, np.where((vn > 0)[..., None, None], unit, eye)
 
 
 def probe_seminorm(
@@ -136,27 +166,24 @@ def probe_seminorm(
     """Randomized lower bound on the derivative seminorm over the ball.
 
     Candidates are drawn per-index from counter-based streams (70 percent
-    on the boundary sphere, the rest uniformly scaled inward), the best
-    is refined by an annealed random-perturbation hill climb, and the
-    returned value is always a derivative norm actually evaluated at the
-    stored witness. threads is accepted and ignored.
+    on the boundary sphere, the rest uniformly scaled inward) and
+    evaluated a stack at a time; the best, the first of the largest in
+    candidate order, is refined by an annealed random-perturbation hill
+    climb, one step after the other, and the returned value is always a
+    derivative norm actually evaluated at the stored witness. threads is
+    accepted and ignored.
     """
     if r <= 0 or d < 1 or budget < 0:
         raise ParseError("probe_seminorm: need r > 0, d >= 1, budget >= 0")
     eye = np.eye(d, dtype=np.complex128)
-    evaluations = 0
+    check_derivative_args(eye, [eye] * n)  # the order and dimension caps
     best = (-1.0, None, None)
-    for x0 in (r * eye, -r * eye):
-        val = _evaluate(g, x0, [eye] * n)
-        evaluations += 1
-        if val > best[0]:
-            best = (val, x0, [eye.copy() for _ in range(n)])
-
-    for i in range(budget):
-        cand = _random_candidate(g, n, r, d, seed, i)
-        if cand[0] > best[0]:
-            best = cand
-    evaluations += budget
+    for xs, dirs in _candidate_stacks(n, r, d, seed, budget):
+        # a strict > in candidate order: ties and NaN keep the earlier one
+        for val, x, v in zip(_evaluate(g, xs, dirs), xs, dirs):
+            if val > best[0]:
+                best = (val, x, list(v))
+    evaluations = 2 + budget
 
     value, x, dirs = best
     sigma0 = 0.5 * r
@@ -165,15 +192,12 @@ def probe_seminorm(
         gen = rng.generator(seed, rng.STREAM_PROBE_CLIMB, step)
         sigma = sigma0 * decay**step
         xp = x + sigma * rng.random_hermitian(d, gen)
-        nrm = op_norm(xp)
+        vps = [v + (sigma / r) * rng.random_hermitian(d, gen) for v in dirs]
+        nrm, *vns = op_norm(np.array([xp, *vps]))
         if nrm > r:
             xp = xp * (r / nrm)
-        dirs_p = []
-        for v in dirs:
-            vp = v + (sigma / r) * rng.random_hermitian(d, gen)
-            vn = op_norm(vp)
-            dirs_p.append(vp / vn if vn > 0 else v)
-        val = _evaluate(g, xp, dirs_p)
+        dirs_p = [vp / vn if vn > 0 else v for v, vp, vn in zip(dirs, vps, vns)]
+        val = _evaluate(g, xp[None], np.array(dirs_p).reshape(1, n, d, d))[0]
         evaluations += 1
         if val > value:
             value, x, dirs = val, xp, dirs_p

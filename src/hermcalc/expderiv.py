@@ -63,7 +63,7 @@ def reference_simplex_volume(n):
 def check_derivative_args(x, dirs):
     """Argument check shared by the derivative routes.
 
-    Returns (HermitianMatrix of x, list of Hermitian direction arrays).
+    Returns (HermitianMatrix of x, Hermitian directions as an (n, d, d) array).
     The order and dimension caps raise CapExceededError; a direction that
     is not Hermitian or not shaped like x raises ParseError naming it.
     """
@@ -82,7 +82,7 @@ def check_derivative_args(x, dirs):
         if arr.shape != (h.dim, h.dim):
             raise ParseError(f"direction {j}: shape {arr.shape} does not match x, dim {h.dim}")
         out.append(arr)
-    return h, out
+    return h, np.array(out, dtype=np.complex128).reshape(n, h.dim, h.dim)
 
 
 def mat_exp(x, t=1.0):
@@ -120,10 +120,11 @@ def exp_derivative_dd(x, dirs, scale=1.0):
     """n-th derivative of exp at scale*x applied to dirs, via divided
     differences of exp over eigenvalue chains of x."""
     h, dirs = check_derivative_args(x, dirs)
-    scale = complex(scale)
-    if abs(scale.real) * np.max(np.abs(h.eig().eigenvalues)) > EXP_ARG_LIMIT:
+    scale, dec = complex(scale), h.eig()
+    if abs(scale.real) * np.max(np.abs(dec.eigenvalues)) > EXP_ARG_LIMIT:
         raise OverflowRangeError("exp derivative: spectrum too large for exp")
-    matrix = derivative_matrix(h, dirs, ExpFunction(), scale)
+    g = ExpFunction()
+    matrix = derivative_matrix(dec.eigenvalues[None], dec.vectors[None], dirs[None], g, scale)[0]
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
 
 
@@ -190,7 +191,7 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
         raise ParseError("exp_derivative_mc: need at least 2 samples")
     scale = complex(scale)
     dec = h.eig()
-    dirs_eig = to_eigenbasis(dec, dirs)
+    dirs_eig = to_eigenbasis(dec.vectors, dirs)
 
     d = h.dim
     total = np.zeros((d, d), dtype=np.complex128)

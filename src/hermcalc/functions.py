@@ -98,18 +98,22 @@ class PolynomialFunction(ScalarFunction):
             raise ParseError("poly: coeffs must be finite")
         self.coeffs = arr if np.any(arr.imag) else arr.real
         self.degree = len(arr) - 1
+        self._columns = {}
 
     def label(self):
         return f"{self.kind}:{self.degree}"
 
     def derivatives(self, t, j, q):
-        c, t = self.coeffs, np.asarray(t, dtype=float)[..., None]
-        # rows[s, i] = c_(i+k) (i+k)! / i!, the coefficient of t^i in g^(k), k = j + s
-        rows = np.zeros((q + 1, len(c)), dtype=c.dtype)
-        for s, k in enumerate(range(j, min(j + q, self.degree) + 1)):
-            rows[s, : len(c) - k] = [c[i + k] * perm(i + k, k) for i in range(len(c) - k)]
-        acc = 0.0
-        for a in rows.T[::-1]:
+        if (columns := self._columns.get((j, q))) is None:
+            c = self.coeffs
+            # rows[s, i] = c_(i+k) (i+k)! / i!, the coefficient of t^i in g^(k), k = j + s
+            rows = np.zeros((q + 1, len(c)), dtype=c.dtype)
+            for s, k in enumerate(range(j, min(j + q, self.degree) + 1)):
+                rows[s, : len(c) - k] = [c[i + k] * perm(i + k, k) for i in range(len(c) - k)]
+            # Horner's columns, highest power first; built once per (j, q)
+            columns = self._columns[j, q] = rows.T[::-1].copy()
+        t, acc = np.asarray(t, dtype=float)[..., None], 0.0
+        for a in columns:
             acc = acc * t + a
         return acc
 
@@ -166,12 +170,17 @@ _SIMPLE_KINDS = {
 
 
 def _coeff_list(raw):
+    if not isinstance(raw, (list, tuple)):
+        raise ParseError(f"poly: coeffs must be a list, got {type(raw).__name__}")
     out = []
-    for v in raw:
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            out.append(complex(float(v[0]), float(v[1])))
-        else:
-            out.append(complex(float(v)))
+    for k, v in enumerate(raw):
+        try:
+            if isinstance(v, (list, tuple)) and len(v) == 2:
+                out.append(complex(float(v[0]), float(v[1])))
+            else:
+                out.append(complex(float(v)))
+        except (TypeError, ValueError):
+            raise ParseError(f"poly: coefficient {k} is {v!r}, not a number or [re, im]") from None
     return out
 
 

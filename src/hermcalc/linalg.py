@@ -17,10 +17,12 @@ from .errors import ConvergenceError, ParseError
 HERMITIAN_REJECT_TOL = 1e-8
 
 
-def validate_matrix(matrix, name="matrix"):
-    """Coerce to a finite square complex128 ndarray, copying the input."""
+def validate_matrix(matrix, name="matrix", stack=False):
+    """Coerce to a finite square complex128 ndarray, copying the input; with
+    stack, to a finite array of square matrices over its last two axes."""
     arr = np.array(matrix, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+    ndim_ok = arr.ndim == 2 or (stack and arr.ndim > 2)
+    if not ndim_ok or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise ParseError(f"{name}: expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ParseError(f"{name}: entries must be finite (no NaN/Inf)")
@@ -91,22 +93,32 @@ class Eigendecomposition:
 
 
 def eig(x):
-    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
+    """Eigendecomposition by LAPACK (numpy.linalg.eigh).
 
-    Eigenvalues come back ascending. A LAPACK failure is raised as
-    ConvergenceError.
+    x is one Hermitian matrix, validated as HermitianMatrix does, or a
+    (B, d, d) ndarray stack of Hermitian matrices, taken as it is; a stack's
+    eigenvalues are (B, d) and its vectors (B, d, d). Eigenvalues come back
+    ascending. A LAPACK failure is raised as ConvergenceError.
     """
-    h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
+    if isinstance(x, HermitianMatrix):
+        arr = x.array
+    elif isinstance(x, np.ndarray) and x.ndim == 3:
+        arr = x
+    else:
+        arr = HermitianMatrix(x).array
     try:
-        w, u = np.linalg.eigh(h.array)
+        w, u = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed (dim {h.dim}): {exc}") from exc
+        raise ConvergenceError(f"eigensolver failed (dim {arr.shape[-1]}): {exc}") from exc
     return Eigendecomposition(eigenvalues=w, vectors=u)
 
 
 def op_norm(m):
-    """Operator (spectral) norm: the largest singular value."""
-    return float(np.linalg.norm(validate_matrix(m), 2))
+    """Operator (spectral) norm, the largest singular value: a float for
+    one matrix, an array over the leading axes of a stack of matrices."""
+    arr = validate_matrix(m, stack=True)
+    norms = np.linalg.norm(arr, 2, axis=(-2, -1))
+    return float(norms) if arr.ndim == 2 else norms
 
 
 # ---------------------------------------------------------------------------

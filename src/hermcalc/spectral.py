@@ -39,7 +39,8 @@ def function_derivative_dd(g, x, dirs):
     """n-th derivative of x -> g(x) applied to Hermitian directions,
     via the divided-difference chain tensor."""
     h, dirs = check_derivative_args(x, dirs)
-    matrix = derivative_matrix(h, dirs, g)
+    dec = h.eig()
+    matrix = derivative_matrix(dec.eigenvalues[None], dec.vectors[None], dirs[None], g)[0]
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd")
 
 
@@ -274,11 +275,13 @@ def function_derivative_fourier(table, x, dirs):
         raise CapExceededError(
             f"fourier derivative: order {n} exceeds table n_max {table.n_max}"
         )
-    norm = float(np.max(np.abs(h.eig().eigenvalues)))
+    dec = h.eig()
+    norm = float(np.max(np.abs(dec.eigenvalues)))
     if norm > table.radius * (1.0 + 1e-12) + 1e-12:
         raise RadiusError(
             f"fourier derivative: ||x|| = {norm:.6g} outside table radius "
             f"{table.radius:g}"
         )
-    matrix = derivative_matrix(h, dirs, TrigonometricSum(table))
+    g = TrigonometricSum(table)
+    matrix = derivative_matrix(dec.eigenvalues[None], dec.vectors[None], dirs[None], g)[0]
     return MultilinearDerivative(matrix=matrix, order=n, method="fourier")

@@ -1,8 +1,11 @@
 """Derivative seminorm bounds and the randomized probe that checks them."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from hermcalc import bounds
 from hermcalc.bounds import (
     CSV_HEADER,
     bound_report,
@@ -18,6 +21,7 @@ from hermcalc.functions import (
     MonomialFunction,
     PolynomialFunction,
     TabulatedFunction,
+    parse_function,
 )
 from hermcalc.linalg import op_norm
 
@@ -113,3 +117,74 @@ def test_reports_to_csv_header():
     assert lines[0] == "g_kind,n,r,d,bound,empirical,slack,samples,seed"
     assert len(lines) == 2
     assert lines[1].startswith("exp,0,1,2,")
+
+
+def _witness_digest(est):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(est.witness_x).tobytes())
+    for v in est.witness_dirs:
+        h.update(np.ascontiguousarray(v).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (g, d, n) -> (value.hex(), first 16 hex digits of the SHA-256 of the
+# witness x and direction bytes, samples_used) at r = 1.5, budget 32,
+# seed 2026, recorded from the one-candidate-at-a-time probe before the
+# candidates were evaluated in stacks
+GOLDEN_PROBES = {
+    ("gaussian", 4, 1): ("0x1.1d6f92dd7e413p-1", "7dfcc0635df8bcad", 84),
+    ("gaussian", 4, 2): ("0x1.62ab32504b564p-1", "84f905017ad196ba", 84),
+    ("gaussian", 8, 1): ("0x1.fac619b98b458p-2", "240784da56f07117", 84),
+    ("gaussian", 8, 2): ("0x1.11229bb27a5eap-1", "2ae5615c6cf9c0a1", 84),
+    ("sin", 4, 1): ("0x1.fc71abf1c1d40p-1", "4450dcbed78538df", 84),
+    ("sin", 4, 2): ("0x1.feb7a9b2c6d8bp-1", "5de889478e2d5611", 84),
+    ("sin", 8, 1): ("0x1.ff32fcd00d41cp-1", "086c8e87e4dd5358", 84),
+    ("sin", 8, 2): ("0x1.feb7a9b2c6d8bp-1", "fee5bb58e4f328ce", 84),
+    ("exp", 4, 1): ("0x1.1ed3fe64fc541p+2", "766b3a5006cd0e4f", 84),
+    ("exp", 4, 2): ("0x1.1ed3fe64fc541p+2", "5de889478e2d5611", 84),
+    ("exp", 8, 1): ("0x1.1ed3fe64fc541p+2", "814f62a1a90753c8", 84),
+    ("exp", 8, 2): ("0x1.1ed3fe64fc541p+2", "fee5bb58e4f328ce", 84),
+    ("monomial:3", 4, 1): ("0x1.b000000000000p+2", "766b3a5006cd0e4f", 84),
+    ("monomial:3", 4, 2): ("0x1.2000000000000p+3", "5de889478e2d5611", 84),
+    ("monomial:3", 8, 1): ("0x1.b000000000000p+2", "814f62a1a90753c8", 84),
+    ("monomial:3", 8, 2): ("0x1.2000000000000p+3", "fee5bb58e4f328ce", 84),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_PROBES))
+def test_probe_matches_golden(key):
+    g, d, n = key
+    est = probe_seminorm(parse_function(g), n, 1.5, d, budget=32, seed=2026)
+    assert (est.value.hex(), _witness_digest(est), est.samples_used) == GOLDEN_PROBES[key]
+
+
+# (g, d, n, budget, climb_steps) -> as above, also recorded before stacks:
+# d = 8, n = 4 takes stacks of two, so budget 5 makes three; budgets 0 and 1
+GOLDEN_EDGES = {
+    ("gaussian", 8, 4, 5, 3): ("0x1.c3ea8e592aca0p+0", "11b9474933e67c76", 10),
+    ("sin", 8, 4, 5, 3): ("0x1.feb7a9b2c6d8ap-1", "11b9474933e67c76", 10),
+    ("gaussian", 4, 2, 0, 50): ("0x1.64b81e9e2af6dp-1", "3e2472c60d4b2bc5", 52),
+    ("sin", 4, 2, 1, 50): ("0x1.feb7a9b2c6d8bp-1", "5de889478e2d5611", 53),
+    ("gaussian", 3, 1, 1, 0): ("0x1.f2aa8b6b380b0p-2", "b7248a4346a426be", 3),
+    ("sin", 5, 3, 0, 0): ("0x1.21bd54fc5f9a6p-4", "6f591623e7478021", 2),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_EDGES))
+def test_probe_stack_edges_match_golden(key):
+    g, d, n, budget, climb = key
+    est = probe_seminorm(parse_function(g), n, 1.5, d, budget=budget, seed=2026, climb_steps=climb)
+    assert (est.value.hex(), _witness_digest(est), est.samples_used) == GOLDEN_EDGES[key]
+
+
+def test_probe_stack_size_bounds_memory(monkeypatch):
+    # the bench shapes (d <= 8, n <= 2, 32 candidates) take one stack; the cap shape one candidate
+    assert bounds._stack_size(8, 2) >= 32
+    assert bounds._stack_size(8, 4) == 2
+    assert bounds._stack_size(32, 4) == 1
+    # stacks of one candidate give the same estimate as stacks of many
+    a = probe_seminorm(GaussianFunction(), 2, 1.0, 4, budget=20, seed=3, climb_steps=5)
+    monkeypatch.setattr(bounds, "PROBE_STACK_ENTRIES", 1)
+    assert bounds._stack_size(4, 2) == 1
+    b = probe_seminorm(GaussianFunction(), 2, 1.0, 4, budget=20, seed=3, climb_steps=5)
+    assert a.value == b.value and _witness_digest(a) == _witness_digest(b)

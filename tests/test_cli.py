@@ -204,6 +204,14 @@ def test_parse_failures_exit_2(mats, tmp_path):
     assert main(["volume"]) == 2  # missing --order
 
 
+@pytest.mark.parametrize("coeffs, entry", [('["a"]', "coefficient 0"), ("[1, [1]]", "coefficient 1")])
+def test_non_numeric_poly_coefficients_exit_2(mats, capsys, coeffs, entry):
+    spec = f'{{"kind": "poly", "coeffs": {coeffs}}}'
+    assert main(["apply", "--matrix", mats["x"], "--function", spec]) == 2
+    err = capsys.readouterr().err
+    assert entry in err and "Traceback" not in err
+
+
 def test_domain_failures_exit_4(mats, tmp_path):
     # matrix norm 1.5 exceeds the fourier radius 1.0
     code = main(
