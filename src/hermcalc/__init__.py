@@ -3,7 +3,7 @@
 Core surfaces:
   linalg        validated matrices, LAPACK eigendecomposition, norms, JSON I/O
   combinatorics exponent compositions and direction permutations
-  powers        derivatives of matrix powers and power series
+  powers        derivatives of matrix powers
   expderiv      matrix exponential derivatives (divided-difference and MC)
   spectral      g(x), derivative chain tensors, Fourier synthesis
   bounds        seminorm upper bounds and the randomized lower-bound probe
@@ -39,7 +39,6 @@ from .expderiv import (
     exp_derivative_mc,
     mat_exp,
     reference_simplex_volume,
-    sample_simplex,
     simplex_volume_mc,
 )
 from .functions import (
@@ -62,7 +61,7 @@ from .linalg import (
     save_matrix,
 )
 from .oracle import FDConfig, exp_chain_quadrature, fd_derivative, symbolic_power_expand
-from .powers import PowerSeries, power_derivative, series_derivative
+from .powers import power_derivative
 from .spectral import (
     FourierTable,
     apply_function,

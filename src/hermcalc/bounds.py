@@ -16,12 +16,12 @@ directions, where these bounds are tight) and followed by an annealed
 hill climb on the best candidate.
 
 The candidates are evaluated in stacks through the one derivative core:
-per stack one eigh of the (B, d, d) points, one chain_dd over every
-point's chains, one fold with a leading batch axis and one batch of
-singular values for the numerators and one for the direction norms. A
-stack holds at most PROBE_STACK_ENTRIES chain-tensor entries B d^(n+1),
-so d <= 8, n <= 2 takes up to 128 candidates at once and d = 32, n = 4
-one. The best candidate is the first of the largest in candidate order,
+per stack one eigh of the (B, d, d) points, one divided-difference table
+over every point's ascending index tuples, one fold with a leading batch
+axis and one batch of singular values for the numerators and one for the
+direction norms. A stack holds at most PROBE_STACK_ENTRIES chain-tensor
+entries B d^(n+1), so d <= 8, n <= 2 takes up to 128 candidates at once
+and d = 32, n = 4 one. The best candidate is the first of the largest in candidate order,
 as one at a time would find it, and each evaluation gives the same bits
 on a stack as alone. The climb steps run one after the other, each from
 the state the last one accepted.
@@ -55,6 +55,8 @@ CSV_HEADER = "g_kind,n,r,d,bound,empirical,slack,samples,seed"
 def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
     """Upper bound on the order-n derivative seminorm over the radius-r ball:
     |g^(n)(0)| + sqrt(8 r) * (integral of |g^(n+1)|^2 / (2 pi))^(1/2)."""
+    if n < 0:
+        raise ParseError(f"sobolev_bound: order must be >= 0, got {n}")
     if r <= 0:
         raise ParseError(f"sobolev_bound: radius must be positive, got {r}")
     if nodes < SOBOLEV_MIN_NODES:
@@ -72,6 +74,8 @@ def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
 
 def power_bound(k, n, r):
     """Seminorm bound for t -> t^k: k!/(k-n)! r^(k-n); zero when n > k."""
+    if n < 0:
+        raise ParseError(f"power_bound: order must be >= 0, got {n}")
     if r < 0:
         raise ParseError(f"power_bound: radius must be >= 0, got {r}")
     if n > k:
@@ -173,8 +177,8 @@ def probe_seminorm(
     derivative norm actually evaluated at the stored witness. threads is
     accepted and ignored.
     """
-    if r <= 0 or d < 1 or budget < 0:
-        raise ParseError("probe_seminorm: need r > 0, d >= 1, budget >= 0")
+    if n < 0 or r <= 0 or d < 1 or budget < 0:
+        raise ParseError("probe_seminorm: need n >= 0, r > 0, d >= 1, budget >= 0")
     eye = np.eye(d, dtype=np.complex128)
     check_derivative_args(eye, [eye] * n)  # the order and dimension caps
     best = (-1.0, None, None)
@@ -214,7 +218,7 @@ def probe_seminorm(
     )
 
 
-def bound_report(g, n, r, d, budget=PROBE_DEFAULT_BUDGET, seed=0, climb_steps=PROBE_CLIMB_STEPS):
+def bound_report(g, n, r, d, budget=PROBE_DEFAULT_BUDGET, seed=0):
     """Upper bound vs probed lower bound, as one report row.
 
     Monomials get their exact power bound; everything else the Sobolev
@@ -226,7 +230,7 @@ def bound_report(g, n, r, d, budget=PROBE_DEFAULT_BUDGET, seed=0, climb_steps=PR
     else:
         bound = sobolev_bound(g, n, r)
         method = "sobolev"
-    est = probe_seminorm(g, n, r, d, budget=budget, seed=seed, climb_steps=climb_steps)
+    est = probe_seminorm(g, n, r, d, budget=budget, seed=seed)
     return BoundReport(
         g_label=g.label(),
         n=int(n),

@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .bounds import CSV_HEADER, bound_report, sobolev_bound
+from .bounds import CSV_HEADER, bound_report, reports_to_csv, sobolev_bound
 from .divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
 from .errors import DomainError, HermcalcError, NumericError, ParseError
 from .expderiv import (
@@ -29,7 +29,7 @@ from .expderiv import (
     simplex_volume_mc,
 )
 from .functions import parse_function
-from .linalg import HermitianMatrix, load_matrix, matrix_to_dict, op_norm
+from .linalg import HERMITIAN_REJECT_TOL, HermitianMatrix, load_matrix, matrix_to_dict, op_norm
 from .selftest import run_selftest
 from .spectral import (
     FOURIER_TAIL_TOL,
@@ -49,7 +49,7 @@ EXIT_DOMAIN = 4
 
 # tolerances recorded in every artifact so a run is replayable/auditable
 TOLERANCES = {
-    "hermitian_defect": 1e-8,
+    "hermitian_defect": HERMITIAN_REJECT_TOL,
     "eigensolver": "lapack-zheevd",
     "dd_taylor_span": TAYLOR_SPAN,
     "dd_band_taylor_span": BAND_TAYLOR_SPAN,
@@ -215,7 +215,7 @@ def cmd_probe(args):
         g, args.order, args.radius, d, budget=args.samples, seed=seed
     )
     if args.format == "csv":
-        _emit_text(args, CSV_HEADER + "\n" + report.csv_row() + "\n")
+        _emit_text(args, reports_to_csv([report]))
     else:
         payload = {
             "meta": _meta(args, seed),

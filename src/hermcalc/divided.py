@@ -15,21 +15,26 @@ summed over all orderings of the directions. derivative_matrix sums them by
 subsets, as the Monte Carlo kernel does, and folds the last direction into
 the contraction with the tensor, so it builds nothing of the tensor's size.
 
-chain_dd is the one engine for those values. It evaluates g[t_0, ..., t_m]
-for a whole array of chains t: ascending eigenvalues, or those times a
+One Newton table computes those values, over ascending index tuples into
+the rows of an array t of nodes: ascending eigenvalues, or those times a
 complex z (exp(z x) on the exp route), whose spans, midpoints and Newton
-divisors are then the real chain's times z. Every entry of the Newton
-table, over t_i..t_(i+j) with span w = |t_(i+j) - t_i|, follows one rule:
+divisors are then the real ones times z. Divided differences are
+symmetric, so chain_tensor's table holds each ascending index tuple of a
+row once, and the level below supplies every entry's two parents;
+chain_dd's holds, for each given chain t_0..t_m, its runs t_i..t_(i+j).
+Every entry, over nodes t_k0..t_kj with span w = |t_kj - t_k0|, follows
+one rule:
 
   * w <= TAYLOR_SPAN: the Taylor series about the midpoint c,
-        sum_q g^(j+q)(c) / (j+q)! * h_q(t_i - c, ..., t_(i+j) - c),
+        sum_q g^(j+q)(c) / (j+q)! * h_q(t_k0 - c, ..., t_kj - c),
     h_q the complete homogeneous symmetric sums, g's orders from one
-    g.derivatives call, for q = 0..Q with no exit on a term that happens to
-    be 0. A polynomial g takes its whole finite series, Q = degree - j; any
-    other g takes rho^Q <= eps, rho = w / 2, which bounds the tail when
-    g^(k)(c) / k! does not grow with k (exp, sin, cos; the gaussian's grow
-    like |c|^k / k!, which stays within 1e-13 for midpoints |c| <= 15);
-  * otherwise the Newton recurrence (T[i+1, j-1] - T[i, j-1]) / (t_(i+j) - t_i).
+    g.derivatives call per level, for q = 0..Q with no exit on a term that
+    happens to be 0. A polynomial g takes its whole finite series,
+    Q = degree - j; any other g takes rho^Q <= eps, rho = w / 2, which
+    bounds the tail when g^(k)(c) / k! does not grow with k (exp, sin, cos;
+    the gaussian's grow like |c|^k / k!, which stays within 1e-13 for
+    midpoints |c| <= 15);
+  * otherwise the Newton recurrence (T[k1..kj] - T[k0..k(j-1)]) / (t_kj - t_k0).
 
 The recurrence is only used where it divides by more than 1, so its
 rounding does not grow from level to level. A g with a bandwidth B,
@@ -73,53 +78,46 @@ def _taylor_terms(g, j, rho):
     return np.where(rho > 0.0, np.ceil(_LOG_EPS / np.log(safe)), 0.0).astype(np.intp)
 
 
-def _taylor(g, t, j, sel, terms, dtype):
-    """Taylor values of the level-j table at the selected (chain, i)
-    entries, in np.nonzero(sel) order, summed to terms[k] terms past the
-    first for the k-th. Entries are sorted by their term count, so those
-    still summing order s are a prefix; unsorted, the deriv benchmark ran 32 % longer."""
-    ci, ii = np.nonzero(sel)
-    order = np.argsort(-terms, kind="stable")
-    ci, ii, q = ci[order], ii[order], terms[order]
-    nodes = t[ci[:, None], ii[:, None] + np.arange(j + 1)]
+def _taylor(g, nodes, j, terms, dtype):
+    """Taylor values of level-j entries over the rows of nodes (k, j+1),
+    the k-th summed to terms[k] terms past the first."""
     mid = 0.5 * (nodes[:, 0] + nodes[:, -1])
-    qmax = int(q[0])
-    # count[s] = number of entries with at least s terms past the first
-    count = np.searchsorted(-q, -np.arange(qmax + 1), side="right")
+    qmax = int(terms.max())
+    # ahead of the h sums, so that g's own temporaries are freed before those
+    # are made: it lowers the probe's peak memory
+    ders = g.derivatives(mid, j, qmax).T
     # h[s] = complete homogeneous sum of degree s of the offsets from mid
-    h = [np.ones(count[0], t.dtype)] + [np.zeros(count[s], t.dtype) for s in range(1, qmax + 1)]
+    h = np.zeros((qmax + 1, len(mid)), nodes.dtype)
+    h[0] = 1.0
     for y in (nodes - mid[:, None]).T:
         for s in range(1, qmax + 1):
-            h[s] += y[: count[s]] * h[s - 1][: count[s]]
-    u, inverse = np.unique(mid, return_inverse=True)
-    ders = g.derivatives(u, j, qmax).T
-    acc = np.zeros(len(q), dtype=dtype)
+            h[s] += y * h[s - 1]
+    # then h[s] / (j+s)!, and 0 past each entry's own term count: g's orders
+    # are finite at every midpoint, so ders[s] * 0 adds nothing there
+    h /= np.array([float(factorial(j + s)) for s in range(qmax + 1)])[:, None]
+    h[np.arange(qmax + 1)[:, None] > terms] = 0.0
+    acc = np.zeros(len(mid), dtype=dtype)
     for s in range(qmax, -1, -1):
-        k = count[s]
-        acc[:k] += ders[s][inverse[:k]] * (h[s] / factorial(j + s))
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out
+        acc += ders[s] * h[s]
+    return acc
 
 
-def chain_dd(g, chains):
-    """g[t_0, ..., t_m] for every row t of the (C, m+1) array chains, by
-    the module rule: rows ascending, or such rows times a complex z, which
-    g.derivatives must then accept. Returns shape (C,)."""
-    t = np.asarray(chains, dtype=complex if np.iscomplexobj(chains) else float)
-    m = t.shape[1] - 1
+def _newton_table(g, t, levels):
+    """Divided differences of g over ascending index tuples into the rows
+    of t (B, d), by the module rule. Level 0 is g at every node; level j
+    is (tuples (C_j, j+1), lo, hi), lo and hi the level j-1 positions of
+    each tuple without its last and without its first index. Returns the
+    last level's table, shape (B, C_last)."""
     table = np.asarray(g.eval_derivative(t, 0))
     band, limit = (1.0, TAYLOR_SPAN) if g.bandwidth is None else (g.bandwidth, BAND_TAYLOR_SPAN)
-    # Entries under a whole chain that takes the Taylor branch are not needed;
-    # skipping them makes chain_dd up to 1.6x faster on unit-norm spectra.
-    whole = (band * np.abs(t[:, -1] - t[:, 0]) <= limit) & (g.max_order is None)
-    for j in range(1, m + 1):
-        span = t[:, j:] - t[:, :-j]
+    for j, (tuples, lo, hi) in enumerate(levels, 1):
+        first, last = t[:, tuples[:, 0]], t[:, tuples[:, -1]]
+        span = last - first
         reach = band * np.abs(span)
         taylor = reach <= limit
         terms = _taylor_terms(g, j, 0.5 * reach)
         if g.max_order is not None:
-            close = reach <= _SQRT_EPS * (1.0 + np.abs(0.5 * (t[:, j:] + t[:, :-j])))
+            close = reach <= _SQRT_EPS * (1.0 + np.abs(0.5 * (last + first)))
             taylor &= (j + terms <= g.max_order) | close
             if j > g.max_order and taylor.any():
                 raise OrderSupportError(
@@ -127,27 +125,49 @@ def chain_dd(g, chains):
                     f"need derivative order {j}, but only {g.max_order} is supported"
                 )
             terms = np.minimum(terms, g.max_order - j)
-        table = (table[:, 1:] - table[:, :-1]) / np.where(taylor, 1.0, span)
-        sel = taylor if j == m else taylor & ~whole[:, None]
-        if sel.any():
-            table[sel] = _taylor(g, t, j, sel, terms[sel], table.dtype)
-    return table[:, 0]
+        table = (table[:, hi] - table[:, lo]) / np.where(taylor, 1.0, span)
+        if taylor.any():
+            row, col = np.nonzero(taylor)
+            nodes = t[row[:, None], tuples[col]]
+            table[row, col] = _taylor(g, nodes, j, terms[row, col], table.dtype)
+    return table
+
+
+def chain_dd(g, chains):
+    """g[t_0, ..., t_m] for every row t of the (C, m+1) array chains, by
+    the module rule: rows ascending, or such rows times a complex z, which
+    g.derivatives must then accept. Level j holds the runs t_i..t_(i+j).
+    Returns shape (C,)."""
+    t = np.asarray(chains, dtype=complex if np.iscomplexobj(chains) else float)
+    m = t.shape[1] - 1
+    levels = []
+    for j in range(1, m + 1):
+        lo = np.arange(m - j + 1)
+        levels.append((lo[:, None] + np.arange(j + 1), lo, lo + 1))
+    return _newton_table(g, t, levels)[:, 0]
 
 
 def chain_tensor(nodes, n, g):
     """Tensors of divided differences of g over all (n+1)-index chains of
     each row of the (B, d) array nodes, as chain_dd takes them; shape
-    (B,) + (d,) * (n+1). chain_dd runs once, on every row's C(d+n, n+1)
-    sorted index tuples (divided differences are symmetric), and the values
-    are scattered to every permutation of the tensor axes."""
+    (B,) + (d,) * (n+1). Divided differences are symmetric, so each level
+    holds every ascending index tuple once, and the top level's values are
+    scattered to every permutation of the tensor axes."""
     b, d = nodes.shape
+    tuples, levels = np.arange(d)[:, None], []
+    for j in range(1, n + 1):
+        # dense rank map of the level below; the top level's, d^(n+1) entries, is never built
+        rank = np.empty((d,) * j, dtype=np.intp)
+        rank[tuple(tuples.T)] = np.arange(len(tuples))
+        tuples = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d), j + 1)),
+            dtype=np.intp,
+        ).reshape(-1, j + 1)
+        levels.append((tuples, rank[tuple(tuples[:, :-1].T)], rank[tuple(tuples[:, 1:].T)]))
+    vals = _newton_table(g, nodes, levels)
     # cols[k] = the k-th index of every chain, contiguous: the scatter at
     # d = 32, n = 4 takes about a quarter less time than from strided columns
-    cols = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d), n + 1)),
-        dtype=np.intp,
-    ).reshape(-1, n + 1).T.copy()
-    vals = chain_dd(g, nodes[:, cols.T].reshape(-1, n + 1)).reshape(b, -1)
+    cols = tuples.T.copy()
     tensor = np.empty((b,) + (d,) * (n + 1), dtype=np.complex128)
     point = np.arange(b)[:, None]
     for perm in itertools.permutations(range(n + 1)):
@@ -162,15 +182,16 @@ def to_eigenbasis(vectors, dirs):
     return u.conj().swapaxes(-1, -2) @ dirs @ u
 
 
-def derivative_matrix(lam, vectors, dirs, g, scale=1.0):
-    """D^n g(scale x)[dirs] at every point x = U diag(lam) U* of a stack:
-    lam (B, d) ascending, U = vectors (B, d, d), dirs (B, n, d, d); returns
-    (B, d, d). A single point is the B = 1 case. Rotate the directions into
-    the eigenbasis, contract against the tensor over the chains of
-    scale * lam summed over all direction orderings, rotate back."""
+def derivative_matrix(lam, vectors, dirs, g):
+    """D^n g(x)[dirs] at every point x = U diag(lam) U* of a stack: lam
+    (B, d) ascending (or such rows times a complex z, for exp(z x)),
+    U = vectors (B, d, d), dirs (B, n, d, d); returns (B, d, d). A single
+    point is the B = 1 case. Rotate the directions into the eigenbasis,
+    contract against the tensor over the chains of lam summed over all
+    direction orderings, rotate back."""
     b, n, d = dirs.shape[0], dirs.shape[1], lam.shape[1]
     w = to_eigenbasis(vectors, dirs)
-    tensor = chain_tensor(scale * lam, n, g)
+    tensor = chain_tensor(lam, n, g)
     if n == 0:
         core = np.zeros((b, d, d), dtype=np.complex128)
         core[:, np.arange(d), np.arange(d)] = tensor

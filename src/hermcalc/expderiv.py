@@ -124,7 +124,7 @@ def exp_derivative_dd(x, dirs, scale=1.0):
     if abs(scale.real) * np.max(np.abs(dec.eigenvalues)) > EXP_ARG_LIMIT:
         raise OverflowRangeError("exp derivative: spectrum too large for exp")
     g = ExpFunction()
-    matrix = derivative_matrix(dec.eigenvalues[None], dec.vectors[None], dirs[None], g, scale)[0]
+    matrix = derivative_matrix(scale * dec.eigenvalues[None], dec.vectors[None], dirs[None], g)[0]
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
 
 
@@ -212,16 +212,6 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
         std_error=se,
         seed=int(seed),
     )
-
-
-def sample_simplex(n, seed, index=0):
-    """One uniform sample from the n-simplex: n+1 normalized exponentials.
-    Deterministic per (seed, index)."""
-    if n < 0 or n > SIMPLEX_MAX_N:
-        raise CapExceededError(f"sample_simplex: n = {n} outside 0..{SIMPLEX_MAX_N}")
-    gen = rng.generator(seed, rng.STREAM_SIMPLEX, index)
-    e = gen.standard_exponential(n + 1)
-    return e / e.sum()
 
 
 def simplex_volume_mc(n, samples, seed, threads=1):

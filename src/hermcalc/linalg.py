@@ -43,26 +43,24 @@ def frobenius(m):
 class HermitianMatrix:
     """A validated Hermitian matrix.
 
-    Construction symmetrizes the input, (M + M*) / 2, and records the size
-    of the correction. Inputs whose anti-Hermitian part exceeds
-    1e-8 * ||M||_F are rejected rather than silently repaired.
+    Construction symmetrizes the input, (M + M*) / 2. Inputs with
+    ||M - M*||_F above HERMITIAN_REJECT_TOL * ||M||_F are rejected rather
+    than silently repaired.
     """
 
-    __slots__ = ("array", "dim", "defect", "_eig")
+    __slots__ = ("array", "dim", "_eig")
 
     def __init__(self, matrix):
         arr = validate_matrix(matrix)
-        anti = arr - arr.conj().T
         scale = frobenius(arr)
-        defect = 0.5 * frobenius(anti)
-        if scale > 0 and 2.0 * defect > HERMITIAN_REJECT_TOL * scale:
+        defect = frobenius(arr - arr.conj().T)
+        if scale > 0 and defect > HERMITIAN_REJECT_TOL * scale:
             raise ParseError(
-                f"matrix is not Hermitian: ||M - M*|| = {2 * defect:.3e} "
+                f"matrix is not Hermitian: ||M - M*|| = {defect:.3e} "
                 f"exceeds {HERMITIAN_REJECT_TOL:g} * ||M|| = {HERMITIAN_REJECT_TOL * scale:.3e}"
             )
         self.array = 0.5 * (arr + arr.conj().T)
         self.dim = arr.shape[0]
-        self.defect = defect
         self._eig = None
 
     def eig(self):

@@ -55,15 +55,14 @@ def fd_derivative(f, x, dirs, config=None):
     return acc / (2.0 * h) ** n
 
 
-def exp_chain_quadrature(x, v, s=1.0, nodes=201):
+def exp_chain_quadrature(x, v, nodes=201):
     """Composite Simpson estimate of the first exp derivative integral,
-    integral from 0 to s of exp(t x) v exp((s - t) x) dt."""
+    integral from 0 to 1 of exp(t x) v exp((1 - t) x) dt."""
     if nodes < 3 or nodes % 2 == 0:
         raise ParseError(f"exp_chain_quadrature: nodes must be odd >= 3, got {nodes}")
     h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
     v = as_array(v)
-    s = float(s)
-    t = np.linspace(0.0, s, nodes)
+    t = np.linspace(0.0, 1.0, nodes)
     step = t[1] - t[0]
     # Own weights, not spectral.simpson_weights: oracles share no code with the engine.
     w = np.ones(nodes)
@@ -72,7 +71,7 @@ def exp_chain_quadrature(x, v, s=1.0, nodes=201):
     w *= step / 3.0
     acc = np.zeros_like(v)
     for wk, tk in zip(w, t):
-        acc += wk * (mat_exp(h, tk) @ v @ mat_exp(h, s - tk))
+        acc += wk * (mat_exp(h, tk) @ v @ mat_exp(h, 1.0 - tk))
     return acc
 
 

@@ -1,4 +1,4 @@
-"""Derivatives of matrix powers and power series.
+"""Derivatives of matrix powers.
 
 The n-th derivative of x -> x^k in the direction tuple (v_1, ..., v_n)
 expands as a sum over all permutations of the directions and all ways to
@@ -12,18 +12,14 @@ powers of x and accumulated in a fixed canonical order (permutations lex,
 compositions lex), so results are reproducible bit for bit.
 """
 
-from dataclasses import dataclass
-from math import factorial
-
 import numpy as np
 
-from .combinatorics import composition_count, enum_compositions, enum_permutations
+from .combinatorics import enum_compositions, enum_permutations
 from .errors import CapExceededError, ParseError
 from .linalg import as_array, validate_matrix
 
 POWER_MAX_N = 5
 POWER_MAX_K = 12
-SERIES_TERM_BUDGET = 10**7
 
 
 def matrix_powers(x, kmax):
@@ -95,57 +91,3 @@ def power_derivative(k, n, x, dirs):
         raise ParseError(f"power_derivative: expected {n} directions, got {len(dirs)}")
     xa = as_array(x)
     return _power_derivative_impl(k, n, xa, _check_dirs(xa, dirs))
-
-
-@dataclass
-class PowerSeries:
-    """Entire-function surrogate sum_k coeffs[k] t^k with explicit truncation."""
-
-    coeffs: np.ndarray
-    label: str = "series"
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise ParseError("PowerSeries: coeffs must be a nonempty 1-d sequence")
-
-    @classmethod
-    def exponential(cls, k_max=25):
-        """Truncated exponential series; tail beyond k_max is below
-        r^(k_max+1)/(k_max+1)! on |t| <= r."""
-        return cls(np.array([1.0 / factorial(j) for j in range(k_max + 1)]), label="exp")
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def evaluate(self, t):
-        acc = np.zeros_like(np.asarray(t, dtype=np.complex128))
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return acc
-
-
-def series_derivative(series, n, x, dirs):
-    """n-th derivative of x -> sum_k a_k x^k, term by term in ascending k."""
-    if n < 0 or n > POWER_MAX_N:
-        raise CapExceededError(f"series_derivative: order n = {n} outside 0..{POWER_MAX_N}")
-    if len(dirs) != n:
-        raise ParseError(f"series_derivative: expected {n} directions, got {len(dirs)}")
-    xa = as_array(x)
-    dirs_a = _check_dirs(xa, dirs)
-    kmax = series.degree()
-    terms = sum(
-        factorial(n) * composition_count(n, k - n) for k in range(n, kmax + 1)
-    )
-    if terms > SERIES_TERM_BUDGET:
-        raise CapExceededError(
-            f"series_derivative: {terms} expansion terms exceeds budget {SERIES_TERM_BUDGET}"
-        )
-    d = xa.shape[0]
-    out = np.zeros((d, d), dtype=np.complex128)
-    for k in range(kmax + 1):
-        c = series.coeffs[k]
-        if c == 0:
-            continue
-        out += c * _power_derivative_impl(k, n, xa, dirs_a)
-    return out

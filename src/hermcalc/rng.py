@@ -29,11 +29,11 @@ def generator(seed, stream, block=0):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def blocks(total, block_size=BLOCK):
-    """Yield (block_index, count) pairs covering `total` samples."""
-    full, rem = divmod(int(total), block_size)
+def blocks(total):
+    """Yield (block_index, count) pairs covering `total` samples, BLOCK per block."""
+    full, rem = divmod(int(total), BLOCK)
     for k in range(full):
-        yield k, block_size
+        yield k, BLOCK
     if rem:
         yield full, rem
 

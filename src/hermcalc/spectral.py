@@ -86,7 +86,6 @@ class FourierTable:
     n_max: int
     tail_fraction: float
     recon_residual: float
-    dt: float
     nt: int
 
 
@@ -113,7 +112,7 @@ def _transform_on_grid(g, r, m, s_reach):
     floor = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(samples)))
     k = np.arange(-m, m + 1)
     ghat = np.fft.fft(samples, 4 * (nt - 1))[k] * np.exp(0.25j * np.pi * (k % 8))
-    return ghat, t[1] - t[0], nt, floor
+    return ghat, nt, floor
 
 
 def _upper_gamma(a, x):
@@ -209,7 +208,7 @@ def fourier_table(g, r, n_max=2):
         m = max(int(np.ceil(target / ds)), 8)
         s_grid = ds * np.arange(-m, m + 1)
         reach = s_grid[-1] + max(40.0, s_grid[-1])
-        ghat, dt, nt, floor = _transform_on_grid(g, r, m, reach)
+        ghat, nt, floor = _transform_on_grid(g, r, m, reach)
         ghat[np.abs(ghat) < floor] = 0.0
         ws = simpson_weights(len(s_grid), ds)
         mass = np.abs(s_grid) ** n_max * np.abs(ghat) * ws
@@ -244,7 +243,6 @@ def fourier_table(g, r, n_max=2):
         n_max=int(n_max),
         tail_fraction=tail_fraction,
         recon_residual=residual,
-        dt=float(dt),
         nt=int(nt),
     )
 
@@ -259,7 +257,8 @@ class TrigonometricSum(ScalarFunction):
         self.bandwidth = float(np.max(np.abs(table.s)))
 
     def derivatives(self, t, j, q):
-        # chain_dd's first level passes every chain's nodes: few are distinct
+        # a Taylor midpoint depends only on its tuple's first and last node,
+        # so at most d (d + 1) / 2 per point are distinct
         u, inverse = np.unique(np.asarray(t, dtype=float), return_inverse=True)
         weights = self.coeffs[:, None] * (1j * self.s[:, None]) ** np.arange(j, j + q + 1)
         vals = np.exp(1j * np.outer(u, self.s)) @ weights

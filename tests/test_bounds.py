@@ -35,6 +35,15 @@ def test_power_bound_values():
         power_bound(2, 1, -1.0)
 
 
+def test_negative_orders_are_rejected():
+    with pytest.raises(ParseError, match="order"):
+        sobolev_bound(ExpFunction(), -1, 1.0)
+    with pytest.raises(ParseError, match="order"):
+        power_bound(3, -1, 1.0)
+    with pytest.raises(ParseError, match="n >= 0"):
+        probe_seminorm(GaussianFunction(), -1, 1.0, 4, budget=4, seed=1)
+
+
 def test_sobolev_bound_exp_reference():
     # |g(0)| + sqrt(8 r) ||g'||_{L2(-r,r)} / sqrt(2 pi) with g = exp, r = 1:
     # 1 + sqrt(8) sqrt((e^2 - e^-2)/(4 pi))

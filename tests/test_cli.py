@@ -7,7 +7,7 @@ import pytest
 
 import hermcalc.bounds
 from hermcalc.cli import main
-from hermcalc.linalg import save_matrix
+from hermcalc.linalg import HERMITIAN_REJECT_TOL, save_matrix
 
 
 @pytest.fixture
@@ -202,6 +202,21 @@ def test_parse_failures_exit_2(mats, tmp_path):
                  "--order", "2", "--dir", mats["v"]]) == 2
     assert main(["frobnicate"]) == 2  # unknown subcommand via argparse
     assert main(["volume"]) == 2  # missing --order
+
+
+@pytest.mark.parametrize("command", ["bound", "probe"])
+@pytest.mark.parametrize("function", ["gaussian", "monomial:3"])
+def test_negative_order_exits_2(capsys, command, function):
+    argv = [command, "--function", function, "--order", "-1", "--radius", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "order" in err and "Traceback" not in err
+
+
+def test_artifact_records_the_hermitian_tolerance(mats, tmp_path):
+    code, doc = run(["apply", "--matrix", mats["x"], "--function", "exp"], tmp_path)
+    assert code == 0
+    assert doc["meta"]["tolerances"]["hermitian_defect"] == HERMITIAN_REJECT_TOL
 
 
 @pytest.mark.parametrize("coeffs, entry", [('["a"]', "coefficient 0"), ("[1, [1]]", "coefficient 1")])

@@ -1,16 +1,20 @@
-"""The derivative core on a stack of points against one point at a time.
+"""The derivative core on a stack of points, and the tuple table behind it.
 
 derivative_matrix and chain_tensor take a leading batch axis; a single
-point is the B = 1 case. chain_dd evaluates every row by itself, so a
-stack must give what B separate calls give, to the bit.
+point is the B = 1 case. chain_tensor's Newton table holds each ascending
+index tuple of a row once and every entry follows from the tuple's own
+nodes, so a stack must give what B separate calls give, and every tensor
+entry what chain_dd gives on that chain's nodes, to the bit.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from hermcalc import rng
-from hermcalc.divided import chain_tensor, derivative_matrix
-from hermcalc.functions import ExpFunction, GaussianFunction
+from hermcalc.divided import chain_dd, chain_tensor, derivative_matrix
+from hermcalc.functions import ExpFunction, GaussianFunction, SinFunction
 from hermcalc.spectral import TrigonometricSum, fourier_table
 
 
@@ -55,3 +59,37 @@ def test_chain_tensor_stack_is_symmetric_per_row():
     assert tensor.shape == (2, 4, 4, 4)
     np.testing.assert_array_equal(tensor, tensor.transpose(0, 3, 1, 2))
     np.testing.assert_array_equal(tensor, tensor.transpose(0, 2, 1, 3))
+
+
+def _random_and_clustered_rows(d, seed):
+    """A (2, d) stack of ascending rows: spread out, and in pairs 1e-7 apart."""
+    gen = np.random.default_rng(seed)
+    spread = np.sort(gen.uniform(-1.8, 1.8, d))
+    centres = np.sort(gen.uniform(-1.0, 1.0, (d + 1) // 2))
+    clustered = np.sort(np.concatenate([centres, centres[: d // 2] + 1e-7]))
+    return np.stack([spread, clustered])
+
+
+# name -> (g, z): the nodes are z times the rows, as on the exp(z x) route
+TUPLE_CASES = {
+    "exp(z t)": (ExpFunction(), 0.7 - 0.4j),
+    "gaussian": (GaussianFunction(), 1.0),
+    "sin": (SinFunction(), 1.0),
+    "trigsum": (FUNCTIONS["trigsum"], 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_CASES))
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_tensor_entry_equals_chain_dd_on_its_chain(name, n, d):
+    g, z = TUPLE_CASES[name]
+    nodes = z * _random_and_clustered_rows(d, seed=10 * d + n)
+    tensor = chain_tensor(nodes, n, g)
+    chains = np.array(list(itertools.combinations_with_replacement(range(d), n + 1)))
+    # one chain_dd over both rows' chains: the trigonometric sum evaluates
+    # through one matrix product whose last bits depend on its shape, and a
+    # row's chains alone would ask it for other shapes than the tensor's levels
+    want = chain_dd(g, nodes[:, chains].reshape(-1, n + 1)).reshape(2, -1)
+    for b in range(2):
+        np.testing.assert_array_equal(tensor[b][tuple(chains.T)], want[b])

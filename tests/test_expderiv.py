@@ -14,7 +14,6 @@ from hermcalc.expderiv import (
     exp_derivative_mc,
     mat_exp,
     reference_simplex_volume,
-    sample_simplex,
     simplex_volume_mc,
 )
 from hermcalc.linalg import frobenius, op_norm
@@ -202,18 +201,6 @@ def test_mc_matches_per_sample_reference(d, scale):
             assert np.max(est.std_error) <= 1e-12 * np.max(np.abs(mean))
         else:
             assert np.max(np.abs(est.std_error - se)) <= 1e-12 * np.max(se)
-
-
-def test_sample_simplex_properties():
-    # barycentric output: n + 1 nonnegative weights summing to 1
-    for n in (1, 2, 4):
-        pts = sample_simplex(n, seed=3, index=5)
-        assert pts.shape == (n + 1,)
-        assert np.all(pts >= 0)
-        assert abs(pts.sum() - 1.0) < 1e-14
-        again = sample_simplex(n, seed=3, index=5)
-        np.testing.assert_array_equal(pts, again)
-        assert not np.array_equal(pts, sample_simplex(n, seed=3, index=6))
 
 
 def test_simplex_volume_reference_values():

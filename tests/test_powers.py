@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hermcalc.errors import CapExceededError, ParseError
-from hermcalc.expderiv import exp_derivative_dd
-from hermcalc.powers import PowerSeries, power_derivative, series_derivative
+from hermcalc.powers import power_derivative
 
 
 def rand_mats(gen, d, count):
@@ -67,24 +66,3 @@ def test_power_caps_and_argument_checks():
         power_derivative(4, 6, x, [v] * 6)
     with pytest.raises(ParseError):
         power_derivative(4, 2, x, [v])
-
-
-def test_exponential_series_matches_divided_differences():
-    gen = np.random.default_rng(26)
-    series = PowerSeries.exponential(25)
-    a = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-    x = 0.4 * (a + a.conj().T)
-    v, w = rand_mats(gen, 3, 2)
-    v = 0.5 * (v + v.conj().T)
-    w = 0.5 * (w + w.conj().T)
-    for n, dirs in ((1, [v]), (2, [v, w])):
-        ref = exp_derivative_dd(x, dirs).matrix
-        got = series_derivative(series, n, x, dirs)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-11 * max(np.linalg.norm(ref), 1.0))
-
-
-def test_series_evaluate_horner():
-    s = PowerSeries(np.array([1.0, -2.0, 3.0]))
-    # 1 - 2 t + 3 t^2 at t = 0.5
-    assert s.evaluate(0.5) == 1.0 - 1.0 + 0.75
-    assert s.degree() == 2
