@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bounds import CSV_HEADER, bound_report, reports_to_csv, sobolev_bound
 from .divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
-from .errors import DomainError, HermcalcError, NumericError, ParseError
+from .errors import DomainError, HermcalcError, NumericError, OverflowRangeError, ParseError
 from .expderiv import (
     check_derivative_args,
     exp_derivative_dd,
@@ -98,6 +98,13 @@ def _emit_text(args, text):
         sys.stdout.write(text)
 
 
+def _check_finite(name, m):
+    """An overflowed result is a numeric failure (exit 3), not a parse error."""
+    if not np.all(np.isfinite(m)):
+        raise OverflowRangeError(f"{name} is not finite: the result overflows")
+    return m
+
+
 def _load_matrix(args):
     if not args.matrix:
         raise ParseError(f"{args.command}: --matrix is required")
@@ -113,7 +120,7 @@ def _load_function(args):
 def cmd_apply(args):
     g = _load_function(args)
     x = _load_matrix(args)
-    result = apply_function(g, x)
+    result = _check_finite("apply: g(x)", apply_function(g, x))
     seed = _resolve_seed(args)
     payload = {
         "meta": _meta(args, seed),
@@ -172,6 +179,7 @@ def cmd_deriv(args):
         }
     else:
         raise ParseError(f"deriv: unknown method {method!r}")
+    _check_finite(f"deriv: D^{n} g(x)[dirs]", result)
     payload = {
         "meta": _meta(args, seed),
         "g": g.label(),

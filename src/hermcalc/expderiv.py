@@ -7,13 +7,15 @@ point applied to direction matrices:
     differences of exp over eigenvalue chains.
   * exp_derivative_mc: Monte-Carlo quadrature of the simplex integral
     sum over orderings of exp(t0 x) v exp(t1 x) ... exp(tn x), with the
-    simplex carrying total mass 1/n!.
+    simplex carrying total mass 1/n!, its ordering sum started from
+    precomputed direction pairs (see _mc_chunk).
 
 Both accept a complex scale factor z and differentiate at z*x; the dd
 route takes the divided differences over the complex nodes z lam.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -28,8 +30,8 @@ EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
 SIMPLEX_MAX_N = 8
 EXP_ARG_LIMIT = 700.0
-# (row, sample, column) entries per array of an MC sub-block (512 KB): keeps
-# the arrays in cache and bounds the memory; the draws do not depend on it.
+# (row, sample, column) entries per array of an MC sub-block (512 KB): keeps the
+# GEMMs and the GEMV sample sum in cache and bounds memory; draws do not depend on it.
 MC_SUB_ENTRIES = 1 << 15
 
 
@@ -85,6 +87,14 @@ def check_derivative_args(x, dirs):
     return h, np.array(out, dtype=np.complex128).reshape(n, h.dim, h.dim)
 
 
+def _check_exp_range(who, z, lam):
+    """The range check of every exp route over a spectrum lam: exp(z lam)
+    overflows once |Re z| max|lam| exceeds EXP_ARG_LIMIT."""
+    bound = abs(complex(z).real) * float(np.max(np.abs(lam)))
+    if bound > EXP_ARG_LIMIT:
+        raise OverflowRangeError(f"{who}: |Re z| max|lambda| = {bound:.3e} > {EXP_ARG_LIMIT:g}")
+
+
 def mat_exp(x, t=1.0):
     """exp(t x). Eigenbasis route for Hermitian x with real or imaginary t,
     scipy.linalg.expm otherwise. The overflow check bounds the largest
@@ -98,11 +108,7 @@ def mat_exp(x, t=1.0):
     )
     if hermitian and (t.imag == 0.0 or t.real == 0.0):
         dec = x.eig() if isinstance(x, HermitianMatrix) else eig(arr)
-        bound = abs(t.real) * float(np.max(np.abs(dec.eigenvalues)))
-        if bound > EXP_ARG_LIMIT:
-            raise OverflowRangeError(
-                f"mat_exp: |Re t| * max|lambda| = {bound:.3e} exceeds {EXP_ARG_LIMIT:g}"
-            )
+        _check_exp_range("mat_exp", t, dec.eigenvalues)
         w = np.exp(t * dec.eigenvalues)
         return (dec.vectors * w) @ dec.vectors.conj().T
 
@@ -121,8 +127,7 @@ def exp_derivative_dd(x, dirs, scale=1.0):
     differences of exp over eigenvalue chains of x."""
     h, dirs = check_derivative_args(x, dirs)
     scale, dec = complex(scale), h.eig()
-    if abs(scale.real) * np.max(np.abs(dec.eigenvalues)) > EXP_ARG_LIMIT:
-        raise OverflowRangeError("exp derivative: spectrum too large for exp")
+    _check_exp_range("exp_derivative_dd", scale, dec.eigenvalues)
     g = ExpFunction()
     matrix = derivative_matrix(scale * dec.eigenvalues[None], dec.vectors[None], dirs[None], g)[0]
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
@@ -136,15 +141,18 @@ def _merge_m2(n_a, sum_a, m2_a, n_b, sum_b, m2_b):
     return m2_a + m2_b + (delta.real**2 + delta.imag**2) * (n_a * n_b / (n_a + n_b))
 
 
-def _mc_chunk(block, count, seed, lam, scale, dirs_eig, vectors):
+def _mc_chunk(block, count, seed, scale, dec, dirs_eig, pairs):
     """One counter-seeded chunk: per-sample chain products in the original
-    basis, their sum and their sum of |y - mean|^2."""
-    n = len(dirs_eig)
+    basis, their sum (a GEMV) and their sum of |y - mean|^2. For k < l,
+    pairs[1 << k | 1 << l] is the eigenbasis P[a, i, b] = (V_k[a, i] V_l[i, b]
+    + V_l[a, i] V_k[i, b]) / n!; for a real scale the exponentials stay real
+    and P is its float64 view, so each pair's level 2 is one real GEMM."""
+    lam, vectors, n = dec.eigenvalues, dec.vectors, len(dirs_eig)
     d = len(lam)
     gen = rng.generator(seed, rng.STREAM_SIMPLEX, block)
     e = gen.standard_exponential((count, n + 1))
     t = e / e.sum(axis=1, keepdims=True)
-    ex = np.exp(scale * np.multiply.outer(t, lam))
+    ex = np.exp((scale.real if scale.imag == 0 else scale) * np.multiply.outer(t, lam))
     total = m2 = 0.0
     step = MC_SUB_ENTRIES // (d * d)
     for lo in range(0, count, step):
@@ -152,13 +160,16 @@ def _mc_chunk(block, count, seed, lam, scale, dirs_eig, vectors):
         # Sum over orderings by subsets, as divided.derivative_matrix does
         # without the diagonals: level[mask] holds, summed over the
         # orderings of the j directions in mask, V_1 diag(ex_1) V_2 ...
-        # diag(ex_j-1) V_j, laid out (row, sample, column) so that each
-        # factor is one GEMM.
-        level = {0: np.eye(d)[:, None, :]}
-        for j in range(n):
+        # diag(ex_j-1) V_j / n!, laid out (row, sample, column) so that each
+        # factor is one GEMM. Level 2 is ex_1 @ P, read as complex without a
+        # copy; for n <= 1 the core is V_0 or the identity.
+        level = {m: np.matmul(exs[:, 1], p).view(np.complex128) for m, p in pairs.items()}
+        if n < 2:
+            level = {n: (dirs_eig[0] if n else np.eye(d))[:, None, :]}
+        for j in range(2, n):
             nxt = {}
             for mask, f in level.items():
-                f = f * exs[:, j] if j else f
+                f = f * exs[:, j]
                 for k in (k for k in range(n) if not mask >> k & 1):
                     term = (f.reshape(-1, d) @ dirs_eig[k]).reshape(d, -1, d)
                     key = mask | 1 << k
@@ -167,12 +178,12 @@ def _mc_chunk(block, count, seed, lam, scale, dirs_eig, vectors):
             level = nxt
         # the outer diagonals diag(ex_0) and diag(ex_n), then back to the
         # original basis, vectors @ y @ vectors^H, as two GEMMs
-        y = level[(1 << n) - 1] * (exs[:, 0].T[:, :, None] / factorial(n))
+        y = level[(1 << n) - 1] * exs[:, 0].T[:, :, None]
         if n:
             y *= exs[:, n]
         y = vectors @ y.reshape(d, -1)
         y = (y.reshape(-1, d) @ vectors.conj().T).reshape(d, -1, d)
-        sub = y.sum(axis=1)
+        sub = np.ones(len(exs)) @ y  # a GEMV: y.sum(axis=1) took 6x longer
         y -= sub[:, None, :] / len(exs)  # in place: a fresh array made MC 12 % slower
         sq = np.einsum("isj,isj->ij", y.view(np.float64), y.view(np.float64))
         m2 = _merge_m2(lo, total, m2, len(exs), sub, sq[:, 0::2] + sq[:, 1::2])
@@ -189,15 +200,19 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     samples = int(samples)
     if samples < 2:
         raise ParseError("exp_derivative_mc: need at least 2 samples")
-    scale = complex(scale)
-    dec = h.eig()
+    scale, dec = complex(scale), h.eig()
+    _check_exp_range("exp_derivative_mc", scale, dec.eigenvalues)
     dirs_eig = to_eigenbasis(dec.vectors, dirs)
+    pairs = {}
+    for (k, a), (l, b) in combinations(enumerate(dirs_eig), 2):
+        p = (a[:, :, None] * b + b[:, :, None] * a) / factorial(n)
+        pairs[1 << k | 1 << l] = p.view(np.float64) if scale.imag == 0 else p
 
     d = h.dim
     total = np.zeros((d, d), dtype=np.complex128)
     m2 = done = 0
     for block, count in rng.blocks(samples):
-        sum_y, m2_y = _mc_chunk(block, count, seed, dec.eigenvalues, scale, dirs_eig, dec.vectors)
+        sum_y, m2_y = _mc_chunk(block, count, seed, scale, dec, dirs_eig, pairs)
         m2 = _merge_m2(done, total, m2, count, sum_y, m2_y)
         total += sum_y
         done += count

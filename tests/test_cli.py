@@ -277,6 +277,20 @@ def test_eigensolver_failure_exits_3(mats, monkeypatch):
     assert main(["apply", "--matrix", mats["x"], "--function", "exp"]) == 3
 
 
+def test_overflowing_results_exit_3_without_artifact(mats, tmp_path):
+    big = tmp_path / "big.json"
+    save_matrix(np.diag([800.0, 1.0]).astype(complex), big)
+    sx = tmp_path / "sx.json"
+    save_matrix(np.array([[0, 1], [1, 0]], dtype=complex), sx)
+    base = ["--matrix", str(big), "--function", "exp"]
+    for argv in (
+        ["apply"] + base,
+        ["deriv"] + base + ["--dir", str(sx)],
+        ["deriv"] + base + ["--dir", str(sx), "--method", "mc", "--samples", "1000"],
+    ):
+        assert run(argv, tmp_path) == (3, None)
+
+
 def test_output_is_deterministic(mats, tmp_path):
     argv = ["volume", "--order", "2", "--samples", "5000", "--seed", "11"]
     out1 = tmp_path / "v1.json"

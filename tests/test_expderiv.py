@@ -183,10 +183,12 @@ def mc_reference(x, dirs, samples, seed, scale):
     return ys.mean(axis=0), np.sqrt(var / samples)
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
-@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j, 3.3j])
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_mc_matches_per_sample_reference(d, scale):
-    # 5000 samples span two Philox blocks
+    # 5000 samples span two Philox blocks, each split into sub-blocks at
+    # d >= 5 (eight at d = 8); a real scale takes real exponentials, 3.3j
+    # complex ones on the unit circle
     gen = np.random.default_rng(53 + d)
     for n in range(5):
         x = random_hermitian(gen, d)
@@ -238,3 +240,10 @@ def test_caps_and_overflow_guards():
         mat_exp(np.diag([800.0, 0.0]).astype(complex))
     with pytest.raises(CapExceededError):
         simplex_volume_mc(9, samples=100, seed=0)
+    # exp(800) overflows on both derivative routes; an imaginary scale cannot
+    big, sx = np.diag([800.0, 1.0]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(OverflowRangeError):
+        exp_derivative_dd(big, [sx])
+    with pytest.raises(OverflowRangeError):
+        exp_derivative_mc(big, [sx], samples=1000, seed=1)
+    assert np.all(np.isfinite(exp_derivative_mc(big, [sx], samples=100, seed=1, scale=1j).matrix))
