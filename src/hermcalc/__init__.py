@@ -1,13 +1,19 @@
 """hermcalc: derivatives of scalar functions applied to Hermitian matrices.
 
-Core surfaces:
+Modules:
   linalg        validated matrices, LAPACK eigendecomposition, norms, JSON I/O
+  functions     scalar functions g and their derivatives of every order
+  divided       divided differences, derivative chain tensors, the derivative core
   combinatorics exponent compositions and direction permutations
   powers        derivatives of matrix powers
   expderiv      matrix exponential derivatives (divided-difference and MC)
-  spectral      g(x), derivative chain tensors, Fourier synthesis
+  spectral      g(x), its dd derivative, Fourier tables and synthesis
   bounds        seminorm upper bounds and the randomized lower-bound probe
   oracle        independent reference computations (FD, quadrature, words)
+  rng           counter-based Philox streams
+  errors        the exception taxonomy behind the CLI exit codes
+  selftest      the built-in invariant suite
+  cli           the command line: apply, deriv, bound, probe, volume, selftest
 """
 
 from .bounds import (

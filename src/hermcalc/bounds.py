@@ -35,7 +35,7 @@ import numpy as np
 
 from . import rng
 from .divided import derivative_matrix
-from .errors import ParseError
+from .errors import OverflowRangeError, ParseError
 from .expderiv import check_derivative_args
 from .functions import MonomialFunction
 from .linalg import eig, op_norm
@@ -50,6 +50,13 @@ PROBE_BOUNDARY_FRACTION = 0.7
 PROBE_STACK_ENTRIES = 1 << 16
 
 CSV_HEADER = "g_kind,n,r,d,bound,empirical,slack,samples,seed"
+
+
+def _finite(name, value):
+    """An overflowed bound is a numeric failure, never a result."""
+    if not np.isfinite(value):
+        raise OverflowRangeError(f"{name}: the bound overflows")
+    return value
 
 
 def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
@@ -69,7 +76,7 @@ def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
     integrand = np.abs(np.asarray(g.eval_derivative(t, n + 1))) ** 2
     integral = float(w @ integrand)
     head = float(abs(g.eval_derivative(0.0, n)))
-    return head + np.sqrt(8.0 * r) * np.sqrt(integral / (2.0 * np.pi))
+    return _finite("sobolev_bound", head + np.sqrt(8.0 * r) * np.sqrt(integral / (2.0 * np.pi)))
 
 
 def power_bound(k, n, r):
@@ -80,7 +87,11 @@ def power_bound(k, n, r):
         raise ParseError(f"power_bound: radius must be >= 0, got {r}")
     if n > k:
         return 0.0
-    return factorial(k) / factorial(k - n) * r ** (k - n)
+    try:
+        value = factorial(k) / factorial(k - n) * r ** (k - n)
+    except OverflowError:
+        value = np.inf
+    return _finite("power_bound", value)
 
 
 @dataclass
@@ -123,8 +134,10 @@ def _evaluate(g, xs, dirs):
     xs (B, d, d) and nonzero dirs (B, n, d, d), both exactly Hermitian;
     returns (B,)."""
     dec = eig(xs)
-    value = op_norm(derivative_matrix(dec.eigenvalues, dec.vectors, dirs, g))
-    return value / np.prod(op_norm(dirs), axis=1)
+    der = derivative_matrix(dec.eigenvalues, dec.vectors, dirs, g)
+    if not np.all(np.isfinite(der)):
+        raise OverflowRangeError("probe_seminorm: a derivative overflows")
+    return op_norm(der) / np.prod(op_norm(dirs), axis=1)
 
 
 def _stack_size(d, n):

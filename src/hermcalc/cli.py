@@ -4,7 +4,9 @@ Subcommands: apply, deriv, bound, probe, volume, selftest. Inputs are
 matrix JSON files and function specs (inline JSON, a bare kind name, or
 a path); outputs are schema-versioned JSON or the fixed CSV row format
 from the bounds module. Every artifact records the seed it was produced
-with, so any run can be replayed exactly.
+with, so any run can be replayed exactly. Each subcommand takes only the
+flags it reads, as its COMMANDS entry names them; any other flag is a
+parse error.
 
 Exit codes: 0 ok, 1 invariant failure, 2 parse error, 3 numeric error,
 4 domain violation.
@@ -19,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .bounds import CSV_HEADER, bound_report, reports_to_csv, sobolev_bound
+from .bounds import CSV_HEADER, PROBE_DEFAULT_BUDGET, bound_report, reports_to_csv, sobolev_bound
 from .divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
 from .errors import DomainError, HermcalcError, NumericError, OverflowRangeError, ParseError
 from .expderiv import (
@@ -105,21 +107,9 @@ def _check_finite(name, m):
     return m
 
 
-def _load_matrix(args):
-    if not args.matrix:
-        raise ParseError(f"{args.command}: --matrix is required")
-    return HermitianMatrix(load_matrix(args.matrix))
-
-
-def _load_function(args):
-    if not args.function:
-        raise ParseError(f"{args.command}: --function is required")
-    return parse_function(args.function)
-
-
 def cmd_apply(args):
-    g = _load_function(args)
-    x = _load_matrix(args)
+    g = parse_function(args.function)
+    x = HermitianMatrix(load_matrix(args.matrix))
     result = _check_finite("apply: g(x)", apply_function(g, x))
     seed = _resolve_seed(args)
     payload = {
@@ -139,8 +129,8 @@ def cmd_apply(args):
 
 
 def cmd_deriv(args):
-    g = _load_function(args)
-    x = _load_matrix(args)
+    g = parse_function(args.function)
+    x = HermitianMatrix(load_matrix(args.matrix))
     n = args.order if args.order is not None else len(args.dir)
     if n != len(args.dir):
         raise ParseError(
@@ -167,13 +157,12 @@ def cmd_deriv(args):
             "std_error": [[float(v) for v in row] for row in der.std_error],
         }
     elif method == "fourier":
-        r = args.radius if args.radius is not None else 2.0
         check_derivative_args(x, dirs)  # reject bad input before building the table
-        table = fourier_table(g, r, n_max=max(n, 1))
+        table = fourier_table(g, args.radius, n_max=max(n, 1))
         der = function_derivative_fourier(table, x, dirs)
         result = der.matrix
         extra = {
-            "radius": r,
+            "radius": args.radius,
             "s_max": float(table.s[-1]),
             "tail_fraction": table.tail_fraction,
         }
@@ -195,9 +184,7 @@ def cmd_deriv(args):
 
 
 def cmd_bound(args):
-    g = _load_function(args)
-    if args.order is None or args.radius is None:
-        raise ParseError("bound: --order and --radius are required")
+    g = parse_function(args.function)
     value = float(sobolev_bound(g, args.order, args.radius))
     seed = _resolve_seed(args)
     payload = {
@@ -214,9 +201,7 @@ def cmd_bound(args):
 
 
 def cmd_probe(args):
-    g = _load_function(args)
-    if args.order is None or args.radius is None:
-        raise ParseError("probe: --order and --radius are required")
+    g = parse_function(args.function)
     seed = _resolve_seed(args)
     d = args.dim
     report = bound_report(
@@ -249,8 +234,6 @@ def cmd_probe(args):
 
 
 def cmd_volume(args):
-    if args.order is None:
-        raise ParseError("volume: --order is required")
     seed = _resolve_seed(args)
     est = simplex_volume_mc(
         args.order, samples=args.samples, seed=seed, threads=args.threads
@@ -278,13 +261,47 @@ def cmd_selftest(args):
     return EXIT_OK
 
 
+# argparse keywords of every flag, defined once
+FLAGS = {
+    "matrix": {"help": "path to the matrix JSON file"},
+    "dir": {"action": "append", "default": [], "help": "direction matrix JSON path, once each"},
+    "function": {
+        "help": "function spec: inline JSON, bare kind (exp, sin, cos, gaussian, monomial:K), "
+        "or a path to a JSON spec",
+    },
+    "order": {"type": int, "help": "derivative order n"},
+    "radius": {"type": float, "help": "ball radius r (deriv: of the fourier table)"},
+    "method": {"choices": ("dd", "mc", "fourier"), "default": "dd", "help": "(default dd)"},
+    "samples": {
+        "type": int, "default": 10000,
+        "help": "samples of deriv --method mc and volume, random candidates of probe "
+        "(default %(default)s)",
+    },
+    "dim": {"type": int, "default": 4, "help": "matrix dimension (default %(default)s)"},
+    "format": {"choices": ("json", "csv"), "default": "json", "help": "(default json)"},
+    "quick": {"action": "store_true", "help": "reduced budgets, under a minute"},
+    "seed": {"type": int, "help": f"RNG seed; else HERMCALC_SEED, else {DEFAULT_SEED}"},
+    "out": {"help": "write the artifact here instead of stdout"},
+    "threads": {"type": int, "default": 1, "help": "accepted and ignored (no worker threads)"},
+}
+COMMON_FLAGS = ("seed", "out", "threads")
+
+# name: (handler, help, required flags, optional flags, defaults that differ
+# from FLAGS); a subcommand takes exactly these flags and COMMON_FLAGS
 COMMANDS = {
-    "apply": cmd_apply,
-    "deriv": cmd_deriv,
-    "bound": cmd_bound,
-    "probe": cmd_probe,
-    "volume": cmd_volume,
-    "selftest": cmd_selftest,
+    "apply": (cmd_apply, "apply g to a Hermitian matrix", ("matrix", "function"), (), {}),
+    "deriv": (
+        cmd_deriv, "n-th directional derivative of g", ("matrix", "function"),
+        ("dir", "order", "method", "samples", "radius"), {"radius": 2.0},
+    ),
+    "bound": (cmd_bound, "seminorm bound for g on a ball", ("function", "order", "radius"), (), {}),
+    "probe": (
+        cmd_probe, "randomized lower-bound probe against the bound",
+        ("function", "order", "radius"), ("dim", "samples", "format"),
+        {"samples": PROBE_DEFAULT_BUDGET},
+    ),
+    "volume": (cmd_volume, "MC volume of the corner simplex", ("order",), ("samples",), {}),
+    "selftest": (cmd_selftest, "run the invariant suite", (), ("quick",), {}),
 }
 
 
@@ -304,54 +321,13 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (_, help_text, required, optional, defaults) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--matrix", help="path to the matrix JSON file")
-        p.add_argument(
-            "--dir", action="append", default=[],
-            help="direction matrix JSON path (repeat once per direction)",
-        )
-        p.add_argument(
-            "--function",
-            help="function spec: inline JSON, bare kind (exp, sin, cos, "
-            "gaussian, monomial:K), or a path to a JSON spec",
-        )
-        p.add_argument("--order", type=int, help="derivative order n")
-        p.add_argument("--radius", type=float, help="ball radius r")
-        p.add_argument(
-            "--method", choices=("dd", "mc", "fourier"), default="dd",
-            help="derivative path (default dd)",
-        )
-        p.add_argument(
-            "--samples", type=int, default=10000,
-            help="sample budget for mc / probe / volume (default 10000)",
-        )
-        p.add_argument(
-            "--seed", type=int, default=None,
-            help=f"RNG seed; falls back to HERMCALC_SEED, then {DEFAULT_SEED}",
-        )
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted and ignored (hermcalc starts no worker threads)",
-        )
-        p.add_argument("--out", help="write the artifact here instead of stdout")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json",
-            help="artifact format (csv only for probe)",
-        )
-        p.add_argument("--dim", type=int, default=4,
-                       help="matrix dimension for probe (default 4)")
-        p.add_argument("--quick", action="store_true",
-                       help="selftest: reduced budgets, under a minute")
-        return p
-
-    add("apply", "apply g to a Hermitian matrix")
-    add("deriv", "n-th directional derivative of g")
-    add("bound", "seminorm bound for g on a ball")
-    add("probe", "randomized lower-bound probe against the bound")
-    add("volume", "MC volume of the corner simplex (sanity check)")
-    add("selftest", "run the invariant suite")
+        for flag in required:
+            p.add_argument(f"--{flag}", required=True, **FLAGS[flag])
+        for flag in optional + COMMON_FLAGS:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -365,7 +341,7 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     args._argv = list(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

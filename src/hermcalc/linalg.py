@@ -77,18 +77,6 @@ class Eigendecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self):
-        v = self.vectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-    def unitary_defect(self):
-        v = self.vectors
-        d = v.shape[0]
-        return float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
-
-    def reconstruction_error(self, source):
-        return float(np.max(np.abs(self.reconstruct() - as_array(source))))
-
 
 def eig(x):
     """Eigendecomposition by LAPACK (numpy.linalg.eigh).

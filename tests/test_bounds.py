@@ -14,7 +14,7 @@ from hermcalc.bounds import (
     reports_to_csv,
     sobolev_bound,
 )
-from hermcalc.errors import OrderSupportError, ParseError
+from hermcalc.errors import OrderSupportError, OverflowRangeError, ParseError
 from hermcalc.functions import (
     ExpFunction,
     GaussianFunction,
@@ -42,6 +42,18 @@ def test_negative_orders_are_rejected():
         power_bound(3, -1, 1.0)
     with pytest.raises(ParseError, match="n >= 0"):
         probe_seminorm(GaussianFunction(), -1, 1.0, 4, budget=4, seed=1)
+
+
+def test_overflowing_bounds_and_probes_raise():
+    for g, r in ((ExpFunction(), 800.0), (MonomialFunction(3), 1e200)):
+        with pytest.raises(OverflowRangeError, match="sobolev_bound"):
+            sobolev_bound(g, 1, r)
+        with pytest.raises(OverflowRangeError, match="probe_seminorm"):
+            probe_seminorm(g, 1, r, 2, budget=2, seed=0)
+    # r ** 2 raises OverflowError for a float r and an int r; 3 * 1e154 ** 2 is inf
+    for k, r in ((3, 1e200), (3, 10**200), (3, 1e154)):
+        with pytest.raises(OverflowRangeError, match="power_bound"):
+            power_bound(k, 1, r)
 
 
 def test_sobolev_bound_exp_reference():

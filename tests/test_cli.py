@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hermcalc.bounds
-from hermcalc.cli import main
+from hermcalc.bounds import PROBE_CLIMB_STEPS, PROBE_DEFAULT_BUDGET
+from hermcalc.cli import _build_parser, main
 from hermcalc.linalg import HERMITIAN_REJECT_TOL, save_matrix
 
 
@@ -324,7 +325,7 @@ def test_parser_is_reused_without_leaking_state(mats, tmp_path):
     # a later request on the same parser sees none of the earlier --dir
     code, doc = run(["deriv", "--matrix", mats["x"], "--function", "exp"], tmp_path, "a.json")
     assert code == 0 and doc["method"] == "apply" and doc["order"] == 0
-    assert _build_parser().parse_args(["apply"]).dir == []
+    assert _build_parser().parse_args(["deriv", "--matrix", "x", "--function", "exp"]).dir == []
     assert main(["apply", "--bogus-flag"]) == 2
 
 
@@ -339,3 +340,85 @@ def test_fourier_artifact_records_both_taylor_spans(mats, tmp_path):
     assert code == 0
     assert doc["meta"]["tolerances"]["dd_taylor_span"] == TAYLOR_SPAN
     assert doc["meta"]["tolerances"]["dd_band_taylor_span"] == BAND_TAYLOR_SPAN
+
+
+def test_overflowing_bounds_and_probes_exit_3_without_artifact(tmp_path, capsys):
+    for argv in (
+        ["bound", "--function", "exp", "--order", "1", "--radius", "800"],
+        ["bound", "--function", "monomial:3", "--order", "1", "--radius", "1e200"],
+        ["probe", "--function", "exp", "--order", "1", "--radius", "800",
+         "--dim", "2", "--samples", "2"],
+        ["probe", "--function", "monomial:3", "--order", "1", "--radius", "1e200",
+         "--dim", "2", "--samples", "2"],
+    ):
+        assert run(argv, tmp_path) == (3, None)
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+
+
+# each subcommand's flags besides COMMON: (required, optional)
+TAKES = {
+    "apply": (("--matrix", "--function"), ()),
+    "deriv": (
+        ("--matrix", "--function"), ("--dir", "--order", "--method", "--samples", "--radius"),
+    ),
+    "bound": (("--function", "--order", "--radius"), ()),
+    "probe": (("--function", "--order", "--radius"), ("--dim", "--samples", "--format")),
+    "volume": (("--order",), ("--samples",)),
+    "selftest": ((), ("--quick",)),
+}
+COMMON = ("--seed", "--out", "--threads")
+# a value each flag parses
+FLAG_ARGS = {
+    "--matrix": ["x.json"], "--dir": ["v.json"], "--function": ["exp"], "--order": ["1"],
+    "--radius": ["1"], "--method": ["dd"], "--samples": ["8"], "--dim": ["2"],
+    "--format": ["json"], "--quick": [], "--seed": ["1"], "--out": ["o.json"], "--threads": ["1"],
+}
+FOREIGN = [
+    (command, flag)
+    for command, (required, optional) in TAKES.items()
+    for flag in FLAG_ARGS
+    if flag not in required + optional + COMMON
+]
+
+
+def with_args(flags):
+    return [arg for flag in flags for arg in (flag, *FLAG_ARGS[flag])]
+
+
+def test_subcommands_take_39_option_slots():
+    assert len(FOREIGN) == 39
+    assert sum(len(r + o + COMMON) for r, o in TAKES.values()) == 39
+
+
+@pytest.mark.parametrize("command", TAKES)
+def test_subcommand_parses_each_flag_it_takes(command):
+    required, optional = TAKES[command]
+    _build_parser().parse_args([command] + with_args(required + optional + COMMON))
+
+
+@pytest.mark.parametrize("command, flag", FOREIGN, ids=[f"{c}-{f[2:]}" for c, f in FOREIGN])
+def test_foreign_flag_exits_2(capsys, command, flag):
+    argv = [command] + with_args(TAKES[command][0] + (flag,))
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+REQUIRED = [(command, flag) for command, (required, _) in TAKES.items() for flag in required]
+
+
+@pytest.mark.parametrize("command, flag", REQUIRED, ids=[f"{c}-{f[2:]}" for c, f in REQUIRED])
+def test_missing_required_flag_exits_2(capsys, command, flag):
+    argv = [command] + with_args(f for f in TAKES[command][0] if f != flag)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "required" in err and flag in err
+
+
+def test_probe_default_budget_is_the_library_default(tmp_path):
+    code, doc = run(
+        ["probe", "--function", "monomial:2", "--order", "1", "--radius", "1", "--dim", "2"],
+        tmp_path,
+    )
+    assert code == 0
+    assert doc["samples"] == 2 + PROBE_DEFAULT_BUDGET + PROBE_CLIMB_STEPS == 116
