@@ -23,6 +23,7 @@ from .bounds import (
     power_bound,
     probe_seminorm,
     reports_to_csv,
+    seminorm_bound,
     sobolev_bound,
 )
 from .combinatorics import composition_count, enum_compositions, enum_permutations

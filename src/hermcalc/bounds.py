@@ -73,8 +73,8 @@ def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
     g.check_order(n + 1, "sobolev_bound")
     t = np.linspace(-r, r, nodes)
     w = simpson_weights(nodes, t[1] - t[0])
-    integrand = np.abs(np.asarray(g.eval_derivative(t, n + 1))) ** 2
-    integral = float(w @ integrand)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which _finite reports
+        integral = float(w @ np.abs(np.asarray(g.eval_derivative(t, n + 1))) ** 2)
     head = float(abs(g.eval_derivative(0.0, n)))
     return _finite("sobolev_bound", head + np.sqrt(8.0 * r) * np.sqrt(integral / (2.0 * np.pi)))
 
@@ -134,9 +134,12 @@ def _evaluate(g, xs, dirs):
     xs (B, d, d) and nonzero dirs (B, n, d, d), both exactly Hermitian;
     returns (B,)."""
     dec = eig(xs)
-    der = derivative_matrix(dec.eigenvalues, dec.vectors, dirs, g)
-    if not np.all(np.isfinite(der)):
-        raise OverflowRangeError("probe_seminorm: a derivative overflows")
+    try:
+        der = derivative_matrix(dec.eigenvalues, dec.vectors, dirs, g)
+        if not np.all(np.isfinite(der)):
+            raise OverflowRangeError("a derivative overflows")
+    except OverflowRangeError as exc:  # g's own values included
+        raise OverflowRangeError(f"probe_seminorm: {exc}") from None
     return op_norm(der) / np.prod(op_norm(dirs), axis=1)
 
 
@@ -231,18 +234,17 @@ def probe_seminorm(
     )
 
 
-def bound_report(g, n, r, d, budget=PROBE_DEFAULT_BUDGET, seed=0):
-    """Upper bound vs probed lower bound, as one report row.
-
-    Monomials get their exact power bound; everything else the Sobolev
-    bound (which needs g^(n+1)).
-    """
+def seminorm_bound(g, n, r):
+    """The upper bound reported for g, and its method: a monomial's exact
+    power bound, else the Sobolev bound (which needs g^(n+1))."""
     if isinstance(g, MonomialFunction):
-        bound = power_bound(g.k, n, r)
-        method = "power"
-    else:
-        bound = sobolev_bound(g, n, r)
-        method = "sobolev"
+        return power_bound(g.k, n, r), "power"
+    return sobolev_bound(g, n, r), "sobolev"
+
+
+def bound_report(g, n, r, d, budget=PROBE_DEFAULT_BUDGET, seed=0):
+    """Upper bound vs probed lower bound, as one report row."""
+    bound, method = seminorm_bound(g, n, r)
     est = probe_seminorm(g, n, r, d, budget=budget, seed=seed)
     return BoundReport(
         g_label=g.label(),

@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .bounds import CSV_HEADER, PROBE_DEFAULT_BUDGET, bound_report, reports_to_csv, sobolev_bound
+from .bounds import CSV_HEADER, PROBE_DEFAULT_BUDGET, bound_report, reports_to_csv, seminorm_bound
 from .divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
 from .errors import DomainError, HermcalcError, NumericError, OverflowRangeError, ParseError
 from .expderiv import (
@@ -83,11 +83,6 @@ def _meta(args, seed):
     }
 
 
-def _complex_pairs(m):
-    # same flat row-major [re, im] layout the matrix files use
-    return matrix_to_dict(m)["entries"]
-
-
 def _emit(args, payload):
     _emit_text(args, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
@@ -116,7 +111,7 @@ def cmd_apply(args):
         "meta": _meta(args, seed),
         "g": g.label(),
         "dim": x.dim,
-        "entries": _complex_pairs(result),
+        "entries": matrix_to_dict(result)["entries"],
         "norm": op_norm(result),
         "spectrum": [float(v) for v in x.eig().eigenvalues],
     }
@@ -175,7 +170,7 @@ def cmd_deriv(args):
         "order": n,
         "method": method,
         "dim": x.dim,
-        "entries": _complex_pairs(result),
+        "entries": matrix_to_dict(result)["entries"],
         "norm": op_norm(result),
     }
     payload.update(extra)
@@ -185,14 +180,15 @@ def cmd_deriv(args):
 
 def cmd_bound(args):
     g = parse_function(args.function)
-    value = float(sobolev_bound(g, args.order, args.radius))
-    seed = _resolve_seed(args)
+    value, method = seminorm_bound(g, args.order, args.radius)
+    value, seed = float(value), _resolve_seed(args)
     payload = {
         "meta": _meta(args, seed),
         "g": g.label(),
         "order": args.order,
         "radius": args.radius,
         "bound": value,
+        "bound_method": method,
     }
     if args.out:
         _emit(args, payload)
@@ -309,6 +305,7 @@ COMMANDS = {
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hermcalc",
+        allow_abbrev=False,
         description=(
             "Apply scalar functions to Hermitian matrices and compute their "
             "directional derivatives, error bounds, and probes."
@@ -322,7 +319,8 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, required, optional, defaults) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # no abbreviated flags: the flag table is the whole argv grammar
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in required:
             p.add_argument(f"--{flag}", required=True, **FLAGS[flag])
         for flag in optional + COMMON_FLAGS:

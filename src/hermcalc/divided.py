@@ -13,7 +13,8 @@ the tensor of divided differences over eigenvalue chains:
 
 summed over all orderings of the directions. derivative_matrix sums them by
 subsets, as the Monte Carlo kernel does, and folds the last direction into
-the contraction with the tensor, so it builds nothing of the tensor's size.
+the contraction with the tensor, so its path sums hold d^n entries per
+point; the tensor itself, (B,) + (d,)^(n+1), is built whole by chain_tensor.
 
 One Newton table computes those values, over ascending index tuples into
 the rows of an array t of nodes: ascending eigenvalues, or those times a
@@ -108,7 +109,7 @@ def _newton_table(g, t, levels):
     is (tuples (C_j, j+1), lo, hi), lo and hi the level j-1 positions of
     each tuple without its last and without its first index. Returns the
     last level's table, shape (B, C_last)."""
-    table = np.asarray(g.eval_derivative(t, 0))
+    table = g.values(t)
     band, limit = (1.0, TAYLOR_SPAN) if g.bandwidth is None else (g.bandwidth, BAND_TAYLOR_SPAN)
     for j, (tuples, lo, hi) in enumerate(levels, 1):
         first, last = t[:, tuples[:, 0]], t[:, tuples[:, -1]]

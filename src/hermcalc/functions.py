@@ -11,7 +11,8 @@ from math import perm
 
 import numpy as np
 
-from .errors import OrderSupportError, ParseError
+from .errors import OrderSupportError, OverflowRangeError, ParseError
+from .linalg import read_json
 
 
 class ScalarFunction:
@@ -33,6 +34,15 @@ class ScalarFunction:
 
     def __call__(self, t):
         return self.eval_derivative(t, 0)
+
+    def values(self, t):
+        """g at t, where an overflow raises OverflowRangeError instead of a
+        numpy warning: the check ahead of any work on a spectrum."""
+        with np.errstate(over="ignore"):
+            vals = np.asarray(self.eval_derivative(t, 0))
+        if not np.all(np.isfinite(vals)):
+            raise OverflowRangeError(f"{self.label()} overflows at the nodes")
+        return vals
 
     def label(self):
         return self.kind
@@ -138,8 +148,12 @@ class TabulatedFunction(ScalarFunction):
     max_order = 1
 
     def __init__(self, ts, vs):
-        ts = np.asarray(ts, dtype=float)
-        vs = np.asarray(vs, dtype=float)
+        try:
+            ts, vs = np.asarray(ts, dtype=float), np.asarray(vs, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError("tabulated: ts and vs must be lists of numbers") from None
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+            raise ParseError("tabulated: ts and vs must be finite")
         if ts.ndim != 1 or ts.size < 4 or ts.shape != vs.shape:
             raise ParseError("tabulated: need matching 1-d ts/vs with >= 4 points")
         if not np.all(np.diff(ts) > 0):
@@ -161,14 +175,6 @@ class TabulatedFunction(ScalarFunction):
         return np.stack([self._spline(t, nu=k) for k in range(j, j + q + 1)], axis=-1)
 
 
-_SIMPLE_KINDS = {
-    "exp": ExpFunction,
-    "sin": SinFunction,
-    "cos": CosFunction,
-    "gaussian": GaussianFunction,
-}
-
-
 def _coeff_list(raw):
     if not isinstance(raw, (list, tuple)):
         raise ParseError(f"poly: coeffs must be a list, got {type(raw).__name__}")
@@ -179,59 +185,57 @@ def _coeff_list(raw):
                 out.append(complex(float(v[0]), float(v[1])))
             else:
                 out.append(complex(float(v)))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"poly: coefficient {k} is {v!r}, not a number or [re, im]") from None
     return out
 
 
+# kind: (constructor, the spec fields it takes, in order)
+_KINDS = {
+    "exp": (ExpFunction, ()),
+    "sin": (SinFunction, ()),
+    "cos": (CosFunction, ()),
+    "gaussian": (GaussianFunction, ()),
+    "monomial": (MonomialFunction, ("k",)),
+    "poly": (lambda coeffs: PolynomialFunction(_coeff_list(coeffs)), ("coeffs",)),
+    "tabulated": (TabulatedFunction, ("ts", "vs")),
+}
+
+
 def function_from_dict(doc):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError("function spec: expected an object with a 'kind' field")
+    """The one constructor from a spec object: "kind" and exactly the
+    fields that kind takes."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
+        raise ParseError("function spec: expected an object with a string 'kind' field")
     kind = doc["kind"]
-    params = doc.get("params") or {}
-    if kind in _SIMPLE_KINDS:
-        return _SIMPLE_KINDS[kind]()
-    if kind == "monomial":
-        return MonomialFunction(doc.get("k", params.get("k")))
-    if kind in ("poly", "polynomial"):
-        coeffs = doc.get("coeffs", params.get("coeffs"))
-        if coeffs is None:
-            raise ParseError("function spec: poly needs a 'coeffs' field")
-        return PolynomialFunction(_coeff_list(coeffs))
-    if kind == "tabulated":
-        ts = doc.get("ts", params.get("ts"))
-        vs = doc.get("vs", params.get("vs"))
-        if ts is None or vs is None:
-            raise ParseError("function spec: tabulated needs 'ts' and 'vs' fields")
-        return TabulatedFunction(ts, vs)
-    raise ParseError(f"function spec: unknown kind {kind!r}")
+    if kind not in _KINDS:
+        raise ParseError(f"function spec: unknown kind {kind!r}")
+    make, fields = _KINDS[kind]
+    if doc.keys() != {"kind", *fields}:
+        names = " and ".join(repr(f) for f in fields) or "no other field"
+        raise ParseError(f"function spec: {kind} takes {names}, got {sorted(doc)}")
+    return make(*(doc[f] for f in fields))
 
 
 def parse_function(source):
-    """Function from a JSON string, a dict, or a path to a JSON file."""
+    """Function from a spec object, or from a string that becomes one: a
+    bare kind, monomial:K, poly:c0,c1,..., inline JSON or the path of a
+    JSON file."""
     if isinstance(source, dict):
         return function_from_dict(source)
     text = str(source).strip()
+    kind, _, rest = text.partition(":")
     if text.startswith("{"):
         try:
-            return function_from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
+            spec = json.loads(text)
+        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
             raise ParseError(f"function spec: invalid JSON: {exc}") from None
-    if text in _SIMPLE_KINDS:
-        return _SIMPLE_KINDS[text]()
-    if text.startswith("monomial:"):
-        return MonomialFunction(text.split(":", 1)[1])
-    if text.startswith("poly:"):
-        try:
-            coeffs = [float(c) for c in text.split(":", 1)[1].split(",")]
-        except ValueError:
-            raise ParseError(f"function spec: bad poly coefficients in {text!r}") from None
-        return PolynomialFunction(coeffs)
-    try:
-        with open(text, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read function spec {text}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {text}: {exc}") from None
-    return function_from_dict(doc)
+    elif text in _KINDS:
+        spec = {"kind": text}
+    elif kind == "monomial":
+        spec = {"kind": kind, "k": rest}
+    elif kind == "poly":
+        spec = {"kind": kind, "coeffs": rest.split(",")}
+    else:
+        spec = read_json(text, "function spec")
+    return function_from_dict(spec)

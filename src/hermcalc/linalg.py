@@ -113,10 +113,7 @@ def op_norm(m):
 
 def matrix_to_dict(arr, meta=None):
     arr = validate_matrix(arr)
-    doc = {
-        "dim": int(arr.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in arr.reshape(-1)],
-    }
+    doc = {"dim": int(arr.shape[0]), "entries": arr.view(np.float64).reshape(-1, 2).tolist()}
     if meta:
         doc["meta"] = meta
     return doc
@@ -127,40 +124,36 @@ def matrix_from_dict(doc, name="matrix"):
         raise ParseError(f"{name}: expected an object with 'dim' and 'entries'")
     try:
         d = int(doc["dim"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{name}: 'dim' must be an integer") from None
-    entries = doc["entries"]
     if d < 1:
         raise ParseError(f"{name}: 'dim' must be >= 1, got {d}")
-    if not isinstance(entries, list) or len(entries) != d * d:
-        raise ParseError(
-            f"{name}: expected {d * d} [re, im] pairs, got "
-            f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
-        )
-    flat = np.empty(d * d, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"{name}: entry {k} is not a [re, im] pair")
-        try:
-            flat[k] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            raise ParseError(f"{name}: entry {k} is not numeric") from None
-    return validate_matrix(flat.reshape(d, d), name=name)
+    try:
+        pairs = np.array(doc["entries"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{name}: 'entries' must be [re, im] pairs of numbers") from None
+    if pairs.shape != (d * d, 2):
+        raise ParseError(f"{name}: expected {d * d} [re, im] pairs, got shape {pairs.shape}")
+    return validate_matrix(pairs.view(np.complex128).reshape(d, d), name=name)
 
 
 def matrix_to_json(arr, meta=None):
     return json.dumps(matrix_to_dict(arr, meta), sort_keys=True, indent=1) + "\n"
 
 
-def load_matrix(path):
+def read_json(path, what):
+    """The JSON document in the file at path; what names it in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read matrix file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return matrix_from_dict(doc, name=str(path))
+
+
+def load_matrix(path):
+    return matrix_from_dict(read_json(path, "matrix file"), name=str(path))
 
 
 def save_matrix(arr, path, meta=None):

@@ -31,7 +31,7 @@ def apply_function(g, x):
     """g(x) for Hermitian x: eigenvalues mapped through g."""
     h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
     dec = h.eig()
-    vals = np.asarray(g.eval_derivative(dec.eigenvalues, 0), dtype=np.complex128)
+    vals = g.values(dec.eigenvalues).astype(np.complex128)
     return (dec.vectors * vals) @ dec.vectors.conj().T
 
 

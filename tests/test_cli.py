@@ -1,6 +1,7 @@
 """Command-line interface, run in process through main()."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ import pytest
 import hermcalc.bounds
 from hermcalc.bounds import PROBE_CLIMB_STEPS, PROBE_DEFAULT_BUDGET
 from hermcalc.cli import _build_parser, main
+from hermcalc.errors import OverflowRangeError
+from hermcalc.functions import ExpFunction
 from hermcalc.linalg import HERMITIAN_REJECT_TOL, save_matrix
+from hermcalc.spectral import function_derivative_dd
 
 
 @pytest.fixture
@@ -422,3 +426,70 @@ def test_probe_default_budget_is_the_library_default(tmp_path):
     )
     assert code == 0
     assert doc["samples"] == 2 + PROBE_DEFAULT_BUDGET + PROBE_CLIMB_STEPS == 116
+
+
+BIG_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "matrix, spec",
+    [
+        ('{"dim": 1e999, "entries": [[1.0, 0.0]]}', "exp"),
+        (f'{{"dim": 1, "entries": [[{BIG_INT}, 0.0]]}}', "exp"),
+        (f'{{"dim": 1, "entries": [[{"1" * 5000}, 0.0]]}}', "exp"),
+        (None, f'{{"kind": "poly", "coeffs": [{BIG_INT}]}}'),
+        (None, '{"kind": "tabulated", "ts": ["a", 1, 2, 3], "vs": [0, 1, 2, 3]}'),
+        (None, '{"kind": "tabulated", "ts": [0, 1, 2, 3], "vs": [1e999, 1, 2, 3]}'),
+        (None, '{"kind": ["exp"]}'),
+        (None, '{"kind": "monomial", "params": {"k": 3}}'),
+        (None, '{"kind": "polynomial", "coeffs": [1]}'),
+    ],
+    ids=["dim", "entry", "entry-past-digit-limit", "poly", "ts", "vs", "kind", "params",
+         "polynomial"],
+)
+def test_malformed_inputs_exit_2_without_artifact(mats, tmp_path, capsys, matrix, spec):
+    path = tmp_path / "m.json"
+    if matrix is not None:
+        path.write_text(matrix)
+    argv = ["apply", "--matrix", str(path) if matrix else mats["x"], "--function", spec]
+    assert run(argv, tmp_path) == (2, None)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["apply", "--mat", "x.json", "--f", "exp"],
+                                  ["bound", "--function", "exp", "--ord", "1", "--radius", "1"],
+                                  ["--vers"]])
+def test_abbreviated_flags_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("function", ["monomial:2", "exp"])
+def test_bound_prints_the_bound_probe_reports(tmp_path, capsys, function):
+    flags = ["--function", function, "--order", "1", "--radius", "1"]
+    code, bound_doc = run(["bound"] + flags, tmp_path, "bound.json")
+    printed = capsys.readouterr().out.strip()
+    code2, probe_doc = run(["probe"] + flags + ["--dim", "2", "--samples", "2"], tmp_path)
+    assert code == code2 == 0
+    assert float(printed) == bound_doc["bound"] == probe_doc["bound"]
+    assert bound_doc["bound_method"] == probe_doc["bound_method"]
+    assert bound_doc["bound_method"] == ("power" if function == "monomial:2" else "sobolev")
+
+
+def test_overflows_exit_3_before_the_work_without_warnings(tmp_path):
+    big = tmp_path / "big.json"
+    save_matrix(np.diag([800.0, 1.0]).astype(complex), big)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    save_matrix(sx, tmp_path / "sx.json")
+    base = ["--matrix", str(big), "--function", "exp"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ["apply"] + base,
+            ["deriv"] + base + ["--dir", str(tmp_path / "sx.json")],
+            ["deriv"] + base + ["--dir", str(tmp_path / "sx.json"), "--method", "mc",
+                                "--samples", "1000"],
+        ):
+            assert run(argv, tmp_path) == (3, None)
+        with pytest.raises(OverflowRangeError, match="overflows"):
+            function_derivative_dd(ExpFunction(), np.diag([800.0, 1.0]), [sx])

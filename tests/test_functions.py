@@ -1,16 +1,18 @@
 """The scalar-function layer: derivatives(t, j, q) stacks every order in
 one call, and eval_derivative is its one-order slice."""
 
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from hermcalc.errors import ParseError
+from hermcalc.errors import OverflowRangeError, ParseError
 from hermcalc.functions import (
     CosFunction,
     ExpFunction,
@@ -19,6 +21,7 @@ from hermcalc.functions import (
     PolynomialFunction,
     SinFunction,
     TabulatedFunction,
+    function_from_dict,
     parse_function,
 )
 from hermcalc.spectral import TrigonometricSum, _upper_gamma, fourier_table
@@ -138,3 +141,64 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert out.stdout.strip() == ""
+
+
+def _coeffs(g):
+    return None if not isinstance(g, PolynomialFunction) else g.coeffs.tolist()
+
+
+@pytest.mark.parametrize(
+    "text, spec",
+    [
+        ("exp", {"kind": "exp"}),
+        ("sin", {"kind": "sin"}),
+        ("cos", {"kind": "cos"}),
+        ("gaussian", {"kind": "gaussian"}),
+        ("monomial:3", {"kind": "monomial", "k": 3}),
+        ("poly:1,0,-2.5", {"kind": "poly", "coeffs": [1, 0, -2.5]}),
+        ('{"kind": "poly", "coeffs": [[1, 2], 3]}', {"kind": "poly", "coeffs": [[1, 2], 3]}),
+    ],
+)
+def test_each_string_form_is_its_spec_object(text, spec):
+    g, h = parse_function(text), function_from_dict(spec)
+    assert (type(g), g.label(), _coeffs(g)) == (type(h), h.label(), _coeffs(h))
+
+
+def test_spec_file_is_its_spec_object(tmp_path):
+    spec = {"kind": "tabulated", "ts": [0, 1, 2, 3], "vs": [0, 1, 4, 9]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    g = parse_function(str(path))
+    assert g.label() == "tabulated"
+    np.testing.assert_array_equal(g.vs, function_from_dict(spec).vs)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "monomial", "params": {"k": 3}},
+        {"kind": "polynomial", "coeffs": [1]},
+        {"kind": "exp", "k": 3},
+        {"kind": ["exp"]},
+        {"kind": "poly", "coeffs": [10**400]},
+        {"kind": "poly", "coeffs": [float("nan")]},
+        {"kind": "tabulated", "ts": ["a", 1, 2, 3], "vs": [0, 1, 2, 3]},
+        {"kind": "tabulated", "ts": [0, 1, 2, 3], "vs": [float("inf"), 1, 2, 3]},
+        {"kind": "tabulated", "ts": [0, 1, 2, 10**400], "vs": [0, 1, 2, 3]},
+    ],
+)
+def test_undocumented_or_malformed_specs_are_parse_errors(spec):
+    with pytest.raises(ParseError):
+        function_from_dict(spec)
+    with pytest.raises(ParseError):
+        parse_function(json.dumps(spec))
+
+
+def test_values_raise_on_overflow_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(ExpFunction().values(np.array([0.0])), [1.0])
+        with pytest.raises(OverflowRangeError, match="overflows"):
+            ExpFunction().values(np.array([800.0, 1.0]))
+        with pytest.raises(OverflowRangeError, match="overflows"):
+            MonomialFunction(3).values(np.array([1e200]))

@@ -126,3 +126,28 @@ def test_matrix_from_dict_errors():
         matrix_from_dict({"dim": 0, "entries": []})
     with pytest.raises(ParseError):
         matrix_from_dict([1, 2, 3])
+
+
+def test_extreme_entries_round_trip_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    x = np.array([[-0.0, complex(tiny, -1e308)], [complex(1e308, -0.0), complex(-tiny, 5e-324)]])
+    doc = json.loads(json.dumps(matrix_to_dict(x)))
+    back = matrix_from_dict(doc)
+    assert back.tobytes() == x.tobytes()
+    assert matrix_to_dict(back) == doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": float("inf"), "entries": [[1.0, 0.0]]},
+        {"dim": 1, "entries": [[10**400, 0.0]]},
+        {"dim": 1, "entries": [[1.0, 0.0, 0.0]]},
+        {"dim": 1, "entries": [1.0, 0.0]},
+        {"dim": 1, "entries": {"re": 1.0}},
+        {"dim": 1, "entries": [[float("inf"), 0.0]]},
+    ],
+)
+def test_matrix_from_dict_rejects_malformed_numbers(doc):
+    with pytest.raises(ParseError):
+        matrix_from_dict(doc)
