@@ -24,12 +24,7 @@ from . import __version__
 from .bounds import CSV_HEADER, PROBE_DEFAULT_BUDGET, bound_report, reports_to_csv, seminorm_bound
 from .divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
 from .errors import DomainError, HermcalcError, NumericError, OverflowRangeError, ParseError
-from .expderiv import (
-    check_derivative_args,
-    exp_derivative_dd,
-    exp_derivative_mc,
-    simplex_volume_mc,
-)
+from .expderiv import check_derivative_args, exp_derivative_mc, simplex_volume_mc
 from .functions import parse_function
 from .linalg import HERMITIAN_REJECT_TOL, HermitianMatrix, load_matrix, matrix_to_dict, op_norm
 from .selftest import run_selftest

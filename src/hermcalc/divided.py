@@ -16,15 +16,14 @@ subsets, as the Monte Carlo kernel does, and folds the last direction into
 the contraction with the tensor, so its path sums hold d^n entries per
 point; the tensor itself, (B,) + (d,)^(n+1), is built whole by chain_tensor.
 
-One Newton table computes those values, over ascending index tuples into
-the rows of an array t of nodes: ascending eigenvalues, or those times a
-complex z (exp(z x) on the exp route), whose spans, midpoints and Newton
-divisors are then the real ones times z. Divided differences are
-symmetric, so chain_tensor's table holds each ascending index tuple of a
-row once, and the level below supplies every entry's two parents;
-chain_dd's holds, for each given chain t_0..t_m, its runs t_i..t_(i+j).
-Every entry, over nodes t_k0..t_kj with span w = |t_kj - t_k0|, follows
-one rule:
+One Newton table computes those values, and chain_tensor is its one
+entry. It runs over ascending index tuples into the rows of an array t of
+nodes: ascending eigenvalues, or those times a complex z (exp(z x) on the
+exp route), whose spans, midpoints and Newton divisors are then the real
+ones times z. Divided differences are symmetric, so the table holds each
+ascending index tuple of a row once, and the level below supplies every
+entry's two parents. Every entry, over nodes t_k0..t_kj with span
+w = |t_kj - t_k0|, follows one rule:
 
   * w <= TAYLOR_SPAN: the Taylor series about the midpoint c,
         sum_q g^(j+q)(c) / (j+q)! * h_q(t_k0 - c, ..., t_kj - c),
@@ -39,22 +38,21 @@ one rule:
 
 The recurrence is only used where it divides by more than 1, so its
 rounding does not grow from level to level. A g with a bandwidth B,
-|g^(k)| <= A B^k (the Fourier route's trigonometric sum), reads B w for w
-and BAND_TAYLOR_SPAN for TAYLOR_SPAN, and takes the smallest Q with
-rho^(Q+1) e^rho / (Q+1)! <= eps, which bounds the tail by eps A B^j / j!.
-A g with a finite max_order (the cubic spline, max_order 1) takes the
-Taylor branch where orders j + Q exist, i.e. over coincident nodes, and
-its leading terms up to max_order where w <= sqrt(eps) (1 + |c|), there
-cancellation in the recurrence would cost more than the truncation; such
-an entry at a level past max_order raises OrderSupportError.
+|g^(k)| <= A B^k (the Fourier route's table, its trigonometric sum g~),
+reads B w for w and BAND_TAYLOR_SPAN for TAYLOR_SPAN, and takes the
+smallest Q with rho^(Q+1) e^rho / (Q+1)! <= eps, which bounds the tail by
+eps A B^j / j!. A g whose max_order is below n is refused before the table
+is built, since level n holds the coincident tuples (i, ..., i). Otherwise
+such a g (the cubic spline, max_order 1) takes the Taylor branch only where
+orders j + Q exist, i.e. over coincident nodes, and takes its leading terms
+up to max_order where w <= sqrt(eps) (1 + |c|): there cancellation in the
+recurrence would cost more than the truncation.
 """
 
 import itertools
 from math import factorial
 
 import numpy as np
-
-from .errors import OrderSupportError
 
 TAYLOR_SPAN = 1.0
 BAND_TAYLOR_SPAN = 4.0
@@ -103,59 +101,15 @@ def _taylor(g, nodes, j, terms, dtype):
     return acc
 
 
-def _newton_table(g, t, levels):
-    """Divided differences of g over ascending index tuples into the rows
-    of t (B, d), by the module rule. Level 0 is g at every node; level j
-    is (tuples (C_j, j+1), lo, hi), lo and hi the level j-1 positions of
-    each tuple without its last and without its first index. Returns the
-    last level's table, shape (B, C_last)."""
-    table = g.values(t)
+def _newton_table(g, t, n):
+    """Divided differences of g over every ascending (n+1)-index tuple into
+    the rows of t (B, d), by the module rule. Level 0 is g at every node;
+    level j takes each tuple's two parents from level j-1, the tuple
+    without its last and without its first index. Returns the top level's
+    tuples, shape (C, n+1), and table, shape (B, C)."""
+    d = t.shape[1]
+    table, tuples = g.values(t), np.arange(d)[:, None]
     band, limit = (1.0, TAYLOR_SPAN) if g.bandwidth is None else (g.bandwidth, BAND_TAYLOR_SPAN)
-    for j, (tuples, lo, hi) in enumerate(levels, 1):
-        first, last = t[:, tuples[:, 0]], t[:, tuples[:, -1]]
-        span = last - first
-        reach = band * np.abs(span)
-        taylor = reach <= limit
-        terms = _taylor_terms(g, j, 0.5 * reach)
-        if g.max_order is not None:
-            close = reach <= _SQRT_EPS * (1.0 + np.abs(0.5 * (last + first)))
-            taylor &= (j + terms <= g.max_order) | close
-            if j > g.max_order and taylor.any():
-                raise OrderSupportError(
-                    f"{g.label()}: nodes {np.min(reach[taylor]):.1e} apart "
-                    f"need derivative order {j}, but only {g.max_order} is supported"
-                )
-            terms = np.minimum(terms, g.max_order - j)
-        table = (table[:, hi] - table[:, lo]) / np.where(taylor, 1.0, span)
-        if taylor.any():
-            row, col = np.nonzero(taylor)
-            nodes = t[row[:, None], tuples[col]]
-            table[row, col] = _taylor(g, nodes, j, terms[row, col], table.dtype)
-    return table
-
-
-def chain_dd(g, chains):
-    """g[t_0, ..., t_m] for every row t of the (C, m+1) array chains, by
-    the module rule: rows ascending, or such rows times a complex z, which
-    g.derivatives must then accept. Level j holds the runs t_i..t_(i+j).
-    Returns shape (C,)."""
-    t = np.asarray(chains, dtype=complex if np.iscomplexobj(chains) else float)
-    m = t.shape[1] - 1
-    levels = []
-    for j in range(1, m + 1):
-        lo = np.arange(m - j + 1)
-        levels.append((lo[:, None] + np.arange(j + 1), lo, lo + 1))
-    return _newton_table(g, t, levels)[:, 0]
-
-
-def chain_tensor(nodes, n, g):
-    """Tensors of divided differences of g over all (n+1)-index chains of
-    each row of the (B, d) array nodes, as chain_dd takes them; shape
-    (B,) + (d,) * (n+1). Divided differences are symmetric, so each level
-    holds every ascending index tuple once, and the top level's values are
-    scattered to every permutation of the tensor axes."""
-    b, d = nodes.shape
-    tuples, levels = np.arange(d)[:, None], []
     for j in range(1, n + 1):
         # dense rank map of the level below; the top level's, d^(n+1) entries, is never built
         rank = np.empty((d,) * j, dtype=np.intp)
@@ -164,8 +118,34 @@ def chain_tensor(nodes, n, g):
             itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d), j + 1)),
             dtype=np.intp,
         ).reshape(-1, j + 1)
-        levels.append((tuples, rank[tuple(tuples[:, :-1].T)], rank[tuple(tuples[:, 1:].T)]))
-    vals = _newton_table(g, nodes, levels)
+        lo, hi = rank[tuple(tuples[:, :-1].T)], rank[tuple(tuples[:, 1:].T)]
+        first, last = t[:, tuples[:, 0]], t[:, tuples[:, -1]]
+        span = last - first
+        reach = band * np.abs(span)
+        taylor = reach <= limit
+        terms = _taylor_terms(g, j, 0.5 * reach)
+        if g.max_order is not None:
+            close = reach <= _SQRT_EPS * (1.0 + np.abs(0.5 * (last + first)))
+            taylor &= (j + terms <= g.max_order) | close
+            terms = np.minimum(terms, g.max_order - j)
+        table = (table[:, hi] - table[:, lo]) / np.where(taylor, 1.0, span)
+        if taylor.any():
+            row, col = np.nonzero(taylor)
+            nodes = t[row[:, None], tuples[col]]
+            table[row, col] = _taylor(g, nodes, j, terms[row, col], table.dtype)
+    return tuples, table
+
+
+def chain_tensor(nodes, n, g):
+    """Tensors of divided differences of g over all (n+1)-index chains of
+    each row of the (B, d) array nodes, by the module rule; shape
+    (B,) + (d,) * (n+1). Divided differences are symmetric, so the table
+    holds every ascending index tuple once, and its top level's values are
+    scattered to every permutation of the tensor axes. A g whose max_order
+    is below n raises OrderSupportError first."""
+    g.check_order(n, "divided differences")
+    b, d = nodes.shape
+    tuples, vals = _newton_table(g, nodes, n)
     # cols[k] = the k-th index of every chain, contiguous: the scatter at
     # d = 32, n = 4 takes about a quarter less time than from strided columns
     cols = tuples.T.copy()

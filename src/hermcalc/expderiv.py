@@ -24,7 +24,7 @@ from . import rng
 from .divided import derivative_matrix, to_eigenbasis
 from .errors import CapExceededError, OverflowRangeError, ParseError
 from .functions import ExpFunction
-from .linalg import HermitianMatrix, as_array, eig, frobenius
+from .linalg import HermitianMatrix
 
 EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
@@ -96,30 +96,12 @@ def _check_exp_range(who, z, lam):
 
 
 def mat_exp(x, t=1.0):
-    """exp(t x). Eigenbasis route for Hermitian x with real or imaginary t,
-    scipy.linalg.expm otherwise. The overflow check bounds the largest
-    real part of the exponent: |Re t| max|lambda| on the eigenbasis route
-    (imaginary t gives a unitary), ||x||_F |t| for expm."""
-    t = complex(t)
-    arr = as_array(x)
-    scale = frobenius(arr)
-    hermitian = isinstance(x, HermitianMatrix) or (
-        frobenius(arr - arr.conj().T) <= 1e-12 * max(scale, 1e-300)
-    )
-    if hermitian and (t.imag == 0.0 or t.real == 0.0):
-        dec = x.eig() if isinstance(x, HermitianMatrix) else eig(arr)
-        _check_exp_range("mat_exp", t, dec.eigenvalues)
-        w = np.exp(t * dec.eigenvalues)
-        return (dec.vectors * w) @ dec.vectors.conj().T
-
-    if scale * abs(t) > EXP_ARG_LIMIT:
-        raise OverflowRangeError(
-            f"mat_exp: ||x|| * |t| = {scale * abs(t):.3e} exceeds {EXP_ARG_LIMIT:g}"
-        )
-    # Imported here: scipy.linalg is slow to load and rarely needed.
-    from scipy.linalg import expm
-
-    return expm(t * arr)
+    """exp(t x) = U exp(t lambda) U* for Hermitian x and any complex t. The
+    overflow check bounds the largest real part of the exponent,
+    |Re t| max|lambda| (imaginary t gives a unitary)."""
+    dec = (x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)).eig()
+    _check_exp_range("mat_exp", t, dec.eigenvalues)
+    return (dec.vectors * np.exp(complex(t) * dec.eigenvalues)) @ dec.vectors.conj().T
 
 
 def exp_derivative_dd(x, dirs, scale=1.0):

@@ -3,8 +3,9 @@
 apply_function evaluates g on the spectrum. function_derivative_dd
 contracts divided differences of g over eigenvalue chains (exact route).
 function_derivative_fourier synthesizes the same derivative from a
-frequency table: mollify g to compact support, transform, and take divided
-differences of g~(t) = sum_k w_k ghat(s_k) exp(i s_k t); they equal
+frequency table: mollify g to compact support and transform it. The table
+is itself the ScalarFunction g~(t) = sum_k w_k ghat(s_k) exp(i s_k t), and
+its divided differences, taken by the dd route's engine, equal
 sum_k w_k ghat(s_k) (i s_k)^n exp[i s_k t_0, ..., i s_k t_n], the s-grid
 quadrature of ghat(s) (is)^n D^n(exp)(isx)[dirs]. The mollifier, transform,
 s-grid and tail estimate share no code with the dd route, which makes the
@@ -75,8 +76,11 @@ def simpson_weights(nnodes, h):
 
 
 @dataclass
-class FourierTable:
-    """Sampled frequency representation of a mollified scalar function."""
+class FourierTable(ScalarFunction):
+    """The frequency table of a mollified g, and the function it defines,
+    g~(t) = sum_k w_k ghat_k exp(i s_k t), of bandwidth max |s_k|."""
+
+    kind = "fourier"
 
     g_label: str
     radius: float
@@ -87,6 +91,20 @@ class FourierTable:
     tail_fraction: float
     recon_residual: float
     nt: int
+
+    def __post_init__(self):
+        self.coeffs = self.weights * self.ghat
+        self.bandwidth = float(np.max(np.abs(self.s)))
+
+    def derivatives(self, t, j, q):
+        # a Taylor midpoint depends only on its tuple's first and last node,
+        # so at most d (d + 1) / 2 per point are distinct
+        u, inverse = np.unique(np.asarray(t, dtype=float), return_inverse=True)
+        weights = self.coeffs[:, None] * (1j * self.s[:, None]) ** np.arange(j, j + q + 1)
+        # einsum, not a BLAS product: each row is summed in one fixed order,
+        # so a node's value does not depend on how many others share the call
+        vals = np.einsum("us,sq->uq", np.exp(1j * np.outer(u, self.s)), weights)
+        return vals[inverse.reshape(-1)].reshape(np.shape(t) + (q + 1,))
 
 
 def _transform_on_grid(g, r, m, s_reach):
@@ -247,27 +265,9 @@ def fourier_table(g, r, n_max=2):
     )
 
 
-class TrigonometricSum(ScalarFunction):
-    """g~(t) = sum_k w_k ghat_k exp(i s_k t) of a FourierTable, bandwidth max |s_k|."""
-
-    kind = "fourier"
-
-    def __init__(self, table):
-        self.s, self.coeffs = table.s, table.weights * table.ghat
-        self.bandwidth = float(np.max(np.abs(table.s)))
-
-    def derivatives(self, t, j, q):
-        # a Taylor midpoint depends only on its tuple's first and last node,
-        # so at most d (d + 1) / 2 per point are distinct
-        u, inverse = np.unique(np.asarray(t, dtype=float), return_inverse=True)
-        weights = self.coeffs[:, None] * (1j * self.s[:, None]) ** np.arange(j, j + q + 1)
-        vals = np.exp(1j * np.outer(u, self.s)) @ weights
-        return vals[inverse.reshape(-1)].reshape(np.shape(t) + (q + 1,))
-
-
 def function_derivative_fourier(table, x, dirs):
     """n-th derivative of x -> g(x) from the frequency table, as divided
-    differences of the table's trigonometric sum."""
+    differences of the table's trigonometric sum g~."""
     h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
     if n > table.n_max:
@@ -281,6 +281,5 @@ def function_derivative_fourier(table, x, dirs):
             f"fourier derivative: ||x|| = {norm:.6g} outside table radius "
             f"{table.radius:g}"
         )
-    g = TrigonometricSum(table)
-    matrix = derivative_matrix(dec.eigenvalues[None], dec.vectors[None], dirs[None], g)[0]
+    matrix = derivative_matrix(dec.eigenvalues[None], dec.vectors[None], dirs[None], table)[0]
     return MultilinearDerivative(matrix=matrix, order=n, method="fourier")

@@ -493,3 +493,27 @@ def test_overflows_exit_3_before_the_work_without_warnings(tmp_path):
             assert run(argv, tmp_path) == (3, None)
         with pytest.raises(OverflowRangeError, match="overflows"):
             function_derivative_dd(ExpFunction(), np.diag([800.0, 1.0]), [sx])
+
+
+@pytest.mark.parametrize("spec", ["monomial:171", "poly:" + ",".join(["1"] * 172),
+                                  f"monomial:{BIG_INT}"], ids=["monomial", "poly", "big-k"])
+@pytest.mark.parametrize("command", ["apply", "deriv", "probe"])
+def test_polynomial_degree_past_cap_exits_4_without_artifact(mats, tmp_path, capsys, command,
+                                                             spec):
+    flags = {
+        "apply": ["--matrix", mats["x"]],
+        "deriv": ["--matrix", mats["x"], "--dir", mats["v"]],
+        "probe": ["--order", "1", "--radius", "1", "--dim", "2", "--samples", "2"],
+    }[command]
+    assert run([command, "--function", spec] + flags, tmp_path) == (4, None)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_monomial_at_the_degree_cap_differentiates(tmp_path):
+    x, v = tmp_path / "x.json", tmp_path / "v.json"
+    save_matrix(np.diag([0.5, -0.25]).astype(complex), x)
+    save_matrix(np.array([[0, 1], [1, 0]], dtype=complex), v)
+    argv = ["deriv", "--matrix", str(x), "--dir", str(v), "--function", "monomial:170"]
+    code, doc = run(argv, tmp_path)
+    assert code == 0
+    assert np.all(np.isfinite(entries_to_matrix(doc)))

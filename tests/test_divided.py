@@ -4,7 +4,7 @@ derivative_matrix and chain_tensor take a leading batch axis; a single
 point is the B = 1 case. chain_tensor's Newton table holds each ascending
 index tuple of a row once and every entry follows from the tuple's own
 nodes, so a stack must give what B separate calls give, and every tensor
-entry what chain_dd gives on that chain's nodes, to the bit.
+entry what the table gives over that chain's own nodes, to the bit.
 """
 
 import itertools
@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from hermcalc import rng
-from hermcalc.divided import chain_dd, chain_tensor, derivative_matrix
-from hermcalc.functions import ExpFunction, GaussianFunction, SinFunction
-from hermcalc.spectral import TrigonometricSum, fourier_table
+from hermcalc.divided import chain_tensor, derivative_matrix
+from hermcalc.functions import ExpFunction, GaussianFunction, MonomialFunction, SinFunction
+from hermcalc.spectral import fourier_table
 
 
 def _points(d, n, count, seed):
@@ -32,7 +32,7 @@ def _points(d, n, count, seed):
 FUNCTIONS = {
     "exp": ExpFunction(),
     "gaussian": GaussianFunction(),
-    "trigsum": TrigonometricSum(fourier_table(GaussianFunction(), 2.0, n_max=3)),
+    "trigsum": fourier_table(GaussianFunction(), 2.0, n_max=3),
 }
 
 
@@ -76,7 +76,15 @@ TUPLE_CASES = {
     "gaussian": (GaussianFunction(), 1.0),
     "sin": (SinFunction(), 1.0),
     "trigsum": (FUNCTIONS["trigsum"], 1.0),
+    "monomial:5": (MonomialFunction(5), 1.0),
 }
+
+
+def chain_dd(g, chains):
+    """g[t_0, ..., t_m] for every row of chains (C, m+1): the top entry of
+    the table over each chain's own nodes as one row of a stack."""
+    m = chains.shape[1] - 1
+    return chain_tensor(chains, m, g)[(slice(None),) + tuple(range(m + 1))]
 
 
 @pytest.mark.parametrize("name", sorted(TUPLE_CASES))
@@ -87,9 +95,6 @@ def test_tensor_entry_equals_chain_dd_on_its_chain(name, n, d):
     nodes = z * _random_and_clustered_rows(d, seed=10 * d + n)
     tensor = chain_tensor(nodes, n, g)
     chains = np.array(list(itertools.combinations_with_replacement(range(d), n + 1)))
-    # one chain_dd over both rows' chains: the trigonometric sum evaluates
-    # through one matrix product whose last bits depend on its shape, and a
-    # row's chains alone would ask it for other shapes than the tensor's levels
-    want = chain_dd(g, nodes[:, chains].reshape(-1, n + 1)).reshape(2, -1)
     for b in range(2):
-        np.testing.assert_array_equal(tensor[b][tuple(chains.T)], want[b])
+        want = chain_dd(g, nodes[b, chains])
+        np.testing.assert_array_equal(tensor[b][tuple(chains.T)], want)

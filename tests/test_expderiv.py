@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hermcalc import rng
-from hermcalc.errors import CapExceededError, OverflowRangeError
+from hermcalc.errors import CapExceededError, OverflowRangeError, ParseError
 from hermcalc.expderiv import (
     exp_derivative_dd,
     exp_derivative_mc,
@@ -44,13 +44,22 @@ def test_mat_exp_against_scipy():
         np.testing.assert_allclose(mat_exp(x), expm(x), rtol=0, atol=1e-11 * np.exp(op_norm(x)))
 
 
-def test_mat_exp_jordan_block_complex_time():
-    # exp(t [[a, 1], [0, a]]) = e^(ta) [[1, t], [0, 1]]; t has both parts
-    # nonzero and x is not Hermitian
-    a, t = 0.7, 0.8 - 1.3j
-    x = np.array([[a, 1.0], [0.0, a]], dtype=complex)
-    ref = np.exp(t * a) * np.array([[1.0, t], [0.0, 1.0]])
-    np.testing.assert_allclose(mat_exp(x, t), ref, rtol=0, atol=1e-14)
+def test_mat_exp_rejects_non_hermitian_x():
+    with pytest.raises(ParseError):
+        mat_exp(np.array([[0.7, 1.0], [0.0, 0.7]], dtype=complex), 0.8 - 1.3j)
+
+
+def test_mat_exp_complex_time_against_scipy():
+    # exp(t x) = U exp(t lambda) U* for every complex t, both parts nonzero
+    from scipy.linalg import expm
+
+    gen = np.random.default_rng(44)
+    t = 0.3 + 0.7j
+    for _ in range(5):
+        x = random_hermitian(gen, 6, scale=2.0)
+        np.testing.assert_allclose(
+            mat_exp(x, t), expm(t * x), rtol=0, atol=1e-11 * np.exp(op_norm(x))
+        )
 
 
 def test_mat_exp_imaginary_time_does_not_overflow():

@@ -24,7 +24,7 @@ from hermcalc.functions import (
     function_from_dict,
     parse_function,
 )
-from hermcalc.spectral import TrigonometricSum, _upper_gamma, fourier_table
+from hermcalc.spectral import _upper_gamma, fourier_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -57,7 +57,7 @@ def test_derivatives_stack_the_single_orders(name, g, t, top):
 
 
 def test_trigonometric_sum_stacks_the_single_orders():
-    g = TrigonometricSum(fourier_table(GaussianFunction(), 1.0, n_max=1))
+    g = fourier_table(GaussianFunction(), 1.0, n_max=1)
     t = np.array([[-0.8, 0.1, 0.1], [0.5, 0.9, -0.8]])
     got = g.derivatives(t, 1, 4)
     assert got.shape == (2, 3, 5)

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hermcalc.divided import chain_dd
+from hermcalc.divided import chain_tensor
 from hermcalc.errors import (
     CapExceededError,
     OrderSupportError,
@@ -174,8 +174,11 @@ def test_parse_function_specs():
 
 
 def exp_dd(chain, z):
-    """Divided differences of exp over the nodes z * chain, one per z."""
-    return chain_dd(ExpFunction(), np.outer(z, chain))
+    """Divided differences of exp over the nodes z * chain, one per z: the
+    top entry of the engine's table over each scaled chain as one row."""
+    m = len(chain) - 1
+    tensor = chain_tensor(np.outer(z, chain), m, ExpFunction())
+    return tensor[(slice(None),) + tuple(range(m + 1))]
 
 
 def test_exp_dd_first_order_formula():
