@@ -23,8 +23,10 @@ direction norms. A stack holds at most PROBE_STACK_ENTRIES chain-tensor
 entries B d^(n+1), so d <= 8, n <= 2 takes up to 128 candidates at once
 and d = 32, n = 4 one. The best candidate is the first of the largest in candidate order,
 as one at a time would find it, and each evaluation gives the same bits
-on a stack as alone. The climb steps run one after the other, each from
-the state the last one accepted.
+on a stack as alone. The climb steps are evaluated speculatively in
+stacks of up to _stack_size(d, n) from the current state; the first that
+beats it is accepted and the climb goes on from the step after it, so the
+result equals that of the climb run one step after the other.
 """
 
 import io
@@ -45,6 +47,7 @@ SOBOLEV_MIN_NODES = 2049
 PROBE_DEFAULT_BUDGET = 64
 PROBE_CLIMB_STEPS = 50
 PROBE_BOUNDARY_FRACTION = 0.7
+PROBE_CLIMB_DECAY = 0.664
 # chain-tensor entries B d^(n+1) per stack of candidates (1 MB complex):
 # bounds the memory, a d = 32, n = 4 probe goes one candidate at a time
 PROBE_STACK_ENTRIES = 1 << 16
@@ -173,6 +176,22 @@ def _candidate_stacks(n, r, d, seed, budget):
         yield xs, np.where((vn > 0)[..., None, None], unit, eye)
 
 
+def _climb_perturbations(n, r, d, seed, steps):
+    """Every climb step's perturbations, (steps, n + 1, d, d): step k draws
+    from its own cell of the climb stream a Hermitian matrix for the point,
+    scaled by sigma_k = r / 2 * PROBE_CLIMB_DECAY**k, then one per direction,
+    scaled by sigma_k / r."""
+    out = np.empty((steps, n + 1, d, d), dtype=np.complex128)
+    for k in range(steps):
+        gen = rng.generator(seed, rng.STREAM_PROBE_CLIMB, k)
+        # a Python scalar: a numpy power of the decay differs in the last bits
+        sigma = 0.5 * r * PROBE_CLIMB_DECAY**k
+        out[k, 0] = sigma * rng.random_hermitian(d, gen)
+        for j in range(1, n + 1):
+            out[k, j] = (sigma / r) * rng.random_hermitian(d, gen)
+    return out
+
+
 def probe_seminorm(
     g,
     n,
@@ -189,12 +208,15 @@ def probe_seminorm(
     on the boundary sphere, the rest uniformly scaled inward) and
     evaluated a stack at a time; the best, the first of the largest in
     candidate order, is refined by an annealed random-perturbation hill
-    climb, one step after the other, and the returned value is always a
-    derivative norm actually evaluated at the stored witness. threads is
-    accepted and ignored.
+    climb of climb_steps steps, evaluated speculatively in stacks with the
+    result of the sequential climb, and the returned value is always a
+    derivative norm actually evaluated at the stored witness. samples_used
+    is 2 + budget + climb_steps. threads is accepted and ignored.
     """
-    if n < 0 or r <= 0 or d < 1 or budget < 0:
-        raise ParseError("probe_seminorm: need n >= 0, r > 0, d >= 1, budget >= 0")
+    if n < 0 or r <= 0 or d < 1 or budget < 0 or climb_steps < 0:
+        raise ParseError(
+            "probe_seminorm: need n >= 0, r > 0, d >= 1, budget >= 0, climb_steps >= 0"
+        )
     eye = np.eye(d, dtype=np.complex128)
     check_derivative_args(eye, [eye] * n)  # the order and dimension caps
     best = (-1.0, None, None)
@@ -202,34 +224,44 @@ def probe_seminorm(
         # a strict > in candidate order: ties and NaN keep the earlier one
         for val, x, v in zip(_evaluate(g, xs, dirs), xs, dirs):
             if val > best[0]:
-                best = (val, x, list(v))
-    evaluations = 2 + budget
+                best = (val, x, v)
 
+    # The climb: step k adds its perturbation to the state (the point and
+    # its directions), scales the point back into the ball, normalizes the
+    # directions and is accepted when it beats the state's value. Steps
+    # k..k+m-1 are evaluated speculatively as one stack from the state; the
+    # first that beats it is the step the sequential climb accepts, and the
+    # ones after it are evaluated again from the new state.
     value, x, dirs = best
-    sigma0 = 0.5 * r
-    decay = 0.664
-    for step in range(climb_steps):
-        gen = rng.generator(seed, rng.STREAM_PROBE_CLIMB, step)
-        sigma = sigma0 * decay**step
-        xp = x + sigma * rng.random_hermitian(d, gen)
-        vps = [v + (sigma / r) * rng.random_hermitian(d, gen) for v in dirs]
-        nrm, *vns = op_norm(np.array([xp, *vps]))
-        if nrm > r:
-            xp = xp * (r / nrm)
-        dirs_p = [vp / vn if vn > 0 else v for v, vp, vn in zip(dirs, vps, vns)]
-        val = _evaluate(g, xp[None], np.array(dirs_p).reshape(1, n, d, d))[0]
-        evaluations += 1
-        if val > value:
-            value, x, dirs = val, xp, dirs_p
+    state = np.concatenate([x[None], dirs])
+    deltas = _climb_perturbations(n, r, d, seed, climb_steps)
+    step, width, cap = 0, 2, _stack_size(d, n)
+    while step < climb_steps:
+        m = min(width, cap, climb_steps - step)
+        cand = state + deltas[step : step + m]
+        norms = op_norm(cand)
+        over = norms[:, 0] > r
+        cand[over, 0] *= (r / norms[over, 0])[:, None, None]
+        vns = norms[:, 1:]
+        unit = cand[:, 1:] / np.where(vns > 0, vns, 1.0)[..., None, None]
+        cand[:, 1:] = np.where((vns > 0)[..., None, None], unit, state[1:])
+        vals = _evaluate(g, cand[:, 0], cand[:, 1:])
+        hits = np.flatnonzero(vals > value)  # strict, as in the candidate phase
+        if hits.size:
+            i = int(hits[0])
+            value, state = vals[i], cand[i]
+            step, width = step + i + 1, 2
+        else:
+            step, width = step + m, 2 * width
 
     return SeminormEstimate(
         value=float(value),
         n=int(n),
         r=float(r),
         g_label=g.label(),
-        witness_x=x,
-        witness_dirs=dirs,
-        samples_used=evaluations,
+        witness_x=state[0],
+        witness_dirs=list(state[1:]),
+        samples_used=2 + budget + climb_steps,
         seed=int(seed),
     )
 

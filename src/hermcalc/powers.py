@@ -16,7 +16,7 @@ import numpy as np
 
 from .combinatorics import enum_compositions, enum_permutations
 from .errors import CapExceededError, ParseError
-from .linalg import as_array, validate_matrix
+from .linalg import as_array
 
 POWER_MAX_N = 5
 POWER_MAX_K = 12

@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from . import expderiv
-from . import rng
-from .bounds import bound_report, power_bound, probe_seminorm, sobolev_bound
+from .bounds import power_bound, probe_seminorm, sobolev_bound
 from .combinatorics import enum_compositions
 from .expderiv import (
     exp_derivative_dd,

@@ -1,11 +1,13 @@
 """Derivative seminorm bounds and the randomized probe that checks them."""
 
+import functools
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hermcalc import bounds
+from hermcalc import bounds, rng
 from hermcalc.bounds import (
     CSV_HEADER,
     bound_report,
@@ -209,3 +211,112 @@ def test_probe_stack_size_bounds_memory(monkeypatch):
     assert bounds._stack_size(4, 2) == 1
     b = probe_seminorm(GaussianFunction(), 2, 1.0, 4, budget=20, seed=3, climb_steps=5)
     assert a.value == b.value and _witness_digest(a) == _witness_digest(b)
+
+
+def test_probe_rejects_negative_climb_steps():
+    with pytest.raises(ParseError, match="climb_steps >= 0"):
+        probe_seminorm(GaussianFunction(), 1, 1.0, 2, budget=2, seed=0, climb_steps=-1)
+
+
+def _sequential_climb(g, n, r, d, seed, budget, steps):
+    """The climb one step after the other, from the probe's best candidate:
+    (value, witness x, witness directions) after every step count in 0..steps
+    and the accepted steps."""
+    est = probe_seminorm(g, n, r, d, budget=budget, seed=seed, climb_steps=0)
+    value, x, dirs = est.value, est.witness_x, est.witness_dirs
+    states, accepted = [(value, x, dirs)], []
+    sigma0 = 0.5 * r
+    decay = 0.664
+    for step in range(steps):
+        gen = rng.generator(seed, rng.STREAM_PROBE_CLIMB, step)
+        sigma = sigma0 * decay**step
+        xp = x + sigma * rng.random_hermitian(d, gen)
+        vps = [v + (sigma / r) * rng.random_hermitian(d, gen) for v in dirs]
+        nrm, *vns = op_norm(np.array([xp, *vps]))
+        if nrm > r:
+            xp = xp * (r / nrm)
+        dirs_p = [vp / vn if vn > 0 else v for v, vp, vn in zip(dirs, vps, vns)]
+        val = bounds._evaluate(g, xp[None], np.array(dirs_p).reshape(1, n, d, d))[0]
+        if val > value:
+            value, x, dirs = val, xp, dirs_p
+            accepted.append(step)
+        states.append((value, x, dirs))
+    return states, accepted
+
+
+CLIMB_KINDS = ("gaussian", "sin", "cos", "exp", "monomial:3")
+# (d, n, seed): one seed per shape
+CLIMB_SHAPES = [(d, n, 11 + 4 * i + n) for i, d in enumerate((2, 4, 8)) for n in range(4)]
+CLIMB_COUNTS = (0, 1, 2, 3, 50)
+CLIMB_CAPS = (None, 1, 3)  # the stack size: the library's, and capped at 1 and 3
+
+
+@functools.cache
+def _reference(kind, d, n, seed):
+    g, steps = parse_function(kind), max(CLIMB_COUNTS)
+    states, accepted = _sequential_climb(g, n, 1.5, d, seed, 4, steps)
+    digests = [
+        (float(value).hex(), _witness_digest(SimpleNamespace(witness_x=x, witness_dirs=dirs)))
+        for value, x, dirs in states
+    ]
+    return digests, tuple(accepted)
+
+
+def _windows(accepted, steps, cap):
+    """The speculative climb's stacks as (size, accepted slot or None),
+    replayed from the sequential climb's accepted steps: the size starts at
+    2, doubles after a stack with no acceptance up to cap and goes back to
+    2 after one."""
+    out, step, width = [], 0, 2
+    while step < steps:
+        m = min(width, cap, steps - step)
+        hit = next((a - step for a in accepted if step <= a < step + m), None)
+        out.append((m, hit))
+        step, width = (step + hit + 1, 2) if hit is not None else (step + m, 2 * width)
+    return out
+
+
+def _cap_entries(cap, d, n):
+    return bounds.PROBE_STACK_ENTRIES if cap is None else cap * d ** (n + 1)
+
+
+@pytest.mark.parametrize("cap", CLIMB_CAPS)
+@pytest.mark.parametrize("kind", CLIMB_KINDS)
+def test_speculative_climb_equals_sequential_climb(kind, cap, monkeypatch):
+    evaluate, stacks = bounds._evaluate, []
+
+    def spy(g, xs, dirs):
+        stacks.append(len(xs))
+        return evaluate(g, xs, dirs)
+
+    monkeypatch.setattr(bounds, "_evaluate", spy)
+    for d, n, seed in CLIMB_SHAPES:
+        digests, accepted = _reference(kind, d, n, seed)
+        monkeypatch.setattr(bounds, "PROBE_STACK_ENTRIES", _cap_entries(cap, d, n))
+        size = bounds._stack_size(d, n)
+        assert cap is None or size == cap
+        for steps in CLIMB_COUNTS:
+            stacks.clear()
+            est = probe_seminorm(
+                parse_function(kind), n, 1.5, d, budget=4, seed=seed, climb_steps=steps
+            )
+            got = (est.value.hex(), _witness_digest(est), est.samples_used)
+            assert got == (*digests[steps], 2 + 4 + steps), (d, n, seed, steps)
+            # the candidates take -(-2 // size) - (-4 // size) stacks, the climb the rest
+            climb = stacks[-(-2 // size) - (-4 // size) :]
+            assert climb == [m for m, _ in _windows(accepted, steps, size)], (d, n, seed, steps)
+
+
+def test_speculative_climb_cases_cover_the_window_rule():
+    counts, last_slot = [], 0
+    for kind in CLIMB_KINDS:
+        for d, n, seed in CLIMB_SHAPES:
+            _, accepted = _reference(kind, d, n, seed)
+            counts.append(len(accepted))
+            for cap in CLIMB_CAPS:
+                size = bounds._stack_size(d, n) if cap is None else cap
+                windows = _windows(accepted, max(CLIMB_COUNTS), size)
+                last_slot += sum(m > 1 and hit == m - 1 for m, hit in windows)
+    assert 0 in counts
+    assert max(counts) >= 10
+    assert last_slot > 0
