@@ -67,8 +67,8 @@ def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
     |g^(n)(0)| + sqrt(8 r) * (integral of |g^(n+1)|^2 / (2 pi))^(1/2)."""
     if n < 0:
         raise ParseError(f"sobolev_bound: order must be >= 0, got {n}")
-    if r <= 0:
-        raise ParseError(f"sobolev_bound: radius must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise ParseError(f"sobolev_bound: radius must be positive and finite, got {r}")
     if nodes < SOBOLEV_MIN_NODES:
         nodes = SOBOLEV_MIN_NODES
     if nodes % 2 == 0:
@@ -86,8 +86,8 @@ def power_bound(k, n, r):
     """Seminorm bound for t -> t^k: k!/(k-n)! r^(k-n); zero when n > k."""
     if n < 0:
         raise ParseError(f"power_bound: order must be >= 0, got {n}")
-    if r < 0:
-        raise ParseError(f"power_bound: radius must be >= 0, got {r}")
+    if not 0 <= r < np.inf:
+        raise ParseError(f"power_bound: radius must be finite and >= 0, got {r}")
     if n > k:
         return 0.0
     try:
@@ -213,9 +213,9 @@ def probe_seminorm(
     derivative norm actually evaluated at the stored witness. samples_used
     is 2 + budget + climb_steps. threads is accepted and ignored.
     """
-    if n < 0 or r <= 0 or d < 1 or budget < 0 or climb_steps < 0:
+    if n < 0 or not 0 < r < np.inf or d < 1 or budget < 0 or climb_steps < 0:
         raise ParseError(
-            "probe_seminorm: need n >= 0, r > 0, d >= 1, budget >= 0, climb_steps >= 0"
+            "probe_seminorm: need n >= 0, finite r > 0, d >= 1, budget >= 0, climb_steps >= 0"
         )
     eye = np.eye(d, dtype=np.complex128)
     check_derivative_args(eye, [eye] * n)  # the order and dimension caps

@@ -148,7 +148,7 @@ def cmd_deriv(args):
         }
     elif method == "fourier":
         check_derivative_args(x, dirs)  # reject bad input before building the table
-        table = fourier_table(g, args.radius, n_max=max(n, 1))
+        table = fourier_table(g, args.radius, n_max=n)
         der = function_derivative_fourier(table, x, dirs)
         result = der.matrix
         extra = {

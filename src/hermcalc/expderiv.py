@@ -214,8 +214,10 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
 def simplex_volume_mc(n, samples, seed, threads=1):
     """Monte-Carlo volume of {t in [0,1]^n : sum t <= 1}, expected 1/n!.
     threads is accepted and ignored."""
-    if n < 0 or n > SIMPLEX_MAX_N:
-        raise CapExceededError(f"simplex_volume_mc: n = {n} outside 0..{SIMPLEX_MAX_N}")
+    if n < 0:
+        raise ParseError(f"simplex_volume_mc: order must be >= 0, got {n}")
+    if n > SIMPLEX_MAX_N:
+        raise CapExceededError(f"simplex_volume_mc: n = {n} above {SIMPLEX_MAX_N}")
     samples = int(samples)
     if n == 0:
         return VolumeEstimate(value=1.0, std_error=0.0, samples=samples, n=0, seed=int(seed))

@@ -66,7 +66,7 @@ class HermitianMatrix:
     def eig(self):
         """Eigendecomposition, computed once and cached."""
         if self._eig is None:
-            self._eig = eig(self.array)
+            self._eig = eig(self)
         return self._eig
 
 

@@ -7,14 +7,16 @@ frequency table: mollify g to compact support and transform it. The table
 is itself the ScalarFunction g~(t) = sum_k w_k ghat(s_k) exp(i s_k t), and
 its divided differences, taken by the dd route's engine, equal
 sum_k w_k ghat(s_k) (i s_k)^n exp[i s_k t_0, ..., i s_k t_n], the s-grid
-quadrature of ghat(s) (is)^n D^n(exp)(isx)[dirs]. The mollifier, transform,
-s-grid and tail estimate share no code with the dd route, which makes the
-routes' agreement a meaningful check. The transform is Simpson's rule on
-a t-grid commensurate with the s-grid, so it is one exact FFT.
+quadrature of ghat(s) (is)^n D^n(exp)(isx)[dirs]. The mollifier, transform
+and s-grid share no code with the dd route, which makes the routes'
+agreement a meaningful check. The transform is Simpson's rule on a t-grid
+commensurate with the s-grid, so it is one exact FFT. The grid's edge is
+accepted when the next, twice as wide grid measures a negligible mass
+beyond it; nothing is extrapolated. The route serves orders up to
+FOURIER_MAX_N and radii up to FOURIER_MAX_RADIUS.
 """
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -26,6 +28,12 @@ from .linalg import HermitianMatrix
 
 FOURIER_S_MAX_CAP = 640.0
 FOURIER_TAIL_TOL = 1e-8
+# at n = 4 the |s|^4-amplified round-off of the transform misses dd by
+# 1e-5 to 1e-4, so the route stops at order 3
+FOURIER_MAX_N = 3
+# a table's nodes and synthesis grow linearly in r: a sin table and a
+# d = 32, n = 3 derivative peak at 285 MB at this radius, 648 MB at r = 250
+FOURIER_MAX_RADIUS = 100.0
 
 
 def apply_function(g, x):
@@ -109,7 +117,9 @@ class FourierTable(ScalarFunction):
 
 def _transform_on_grid(g, r, m, s_reach):
     """ghat at s_k = k ds, |k| <= m, ds = pi / (4 (r + 1)), by composite
-    Simpson over the mollified support.
+    Simpson over the mollified support, and the t-node count nt. Values
+    below the round-off floor of the quadrature sums are indistinguishable
+    from noise and come back as zero.
 
     The t-step is set so the first alias image of the quadrature lands
     beyond s_reach, where the mollified transform is negligible; for a
@@ -125,86 +135,23 @@ def _transform_on_grid(g, r, m, s_reach):
     wt = simpson_weights(nt, t[1] - t[0])
     samples = np.asarray(g.eval_derivative(t, 0), dtype=np.complex128)
     samples *= mollifier_weight(t, r) * wt / (2.0 * np.pi)
-    # Round-off floor of the quadrature sums; transform values below this
-    # are indistinguishable from noise.
     floor = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(samples)))
     k = np.arange(-m, m + 1)
     ghat = np.fft.fft(samples, 4 * (nt - 1))[k] * np.exp(0.25j * np.pi * (k % 8))
-    return ghat, nt, floor
+    ghat[np.abs(ghat) < floor] = 0.0
+    return ghat, nt
 
 
-def _upper_gamma(a, x):
-    """Gamma(a, x) at integer a >= 1: (a - 1)! e^-x sum_(k < a) x^k / k!."""
-    return factorial(a - 1) * np.exp(-x) * sum(x**k / factorial(k) for k in range(a))
-
-
-def _tail_estimate(s_grid, ghat, floor, n):
-    """Estimated mass of |s|^n |ghat(s)| beyond the grid edge.
-
-    Fits the decay envelope of |ghat| over the outer clean region (values
-    above the round-off floor), under both a power law A s^-p and a
-    stretched exponential A exp(-c sqrt(s)); whichever fits the envelope
-    better is integrated in closed form past s_max. Returns None when no
-    established decay is visible yet, meaning the grid must grow.
-    """
-    s_max = s_grid[-1]
-    pos = s_grid > 0
-    s_pos = s_grid[pos]
-    a_pos = np.abs(ghat[pos])
-    clean = a_pos >= 10.0 * floor
-    if not np.any(clean):
-        # everything at round-off level: nothing measurable beyond the grid
-        return 0.0
-    s_hi = s_pos[clean][-1]
-    if s_hi < 0.2 * s_max:
-        # decay finished well inside the grid; the edge is pure noise
-        return 0.0
-    lo = s_hi / 3.0
-    window = clean & (s_pos >= lo)
-    if np.count_nonzero(window) < 8:
-        return None
-    sw = s_pos[window]
-    aw = a_pos[window]
-    # envelope on bins, to ride over oscillation zeros
-    nbins = 12
-    edges = np.linspace(lo, s_hi, nbins + 1)
-    bs, ba = [], []
-    for i in range(nbins):
-        sel = (sw >= edges[i]) & (sw <= edges[i + 1])
-        if np.any(sel):
-            j = np.argmax(aw[sel])
-            bs.append(sw[sel][j])
-            ba.append(aw[sel][j])
-    if len(bs) < 5:
-        return None
-    bs = np.array(bs)
-    ba = np.array(ba)
-    if ba[-1] > 0.2 * ba[0]:
-        return None  # less than a decade of decay: not in the asymptotic regime
-    ln_a = np.log(ba)
-
-    best = None
-    # power law
-    coef = np.polyfit(np.log(bs), ln_a, 1)
-    p = -coef[0]
-    if p > n + 1:
-        resid = float(np.sum((np.polyval(coef, np.log(bs)) - ln_a) ** 2))
-        amp = np.exp(coef[1])
-        tail = 2.0 * amp * s_max ** (n + 1 - p) / (p - n - 1)
-        best = (resid, tail)
-    # stretched exponential in sqrt(s)
-    coef = np.polyfit(np.sqrt(bs), ln_a, 1)
-    c = -coef[0]
-    if c > 0:
-        resid = float(np.sum((np.polyval(coef, np.sqrt(bs)) - ln_a) ** 2))
-        amp = np.exp(coef[1])
-        # int_S^inf s^n exp(-c sqrt(s)) ds = 2 Gamma(2n+2, c sqrt(S)) / c^(2n+2)
-        tail = 2.0 * amp * 2.0 * _upper_gamma(2 * n + 2, c * np.sqrt(s_max)) / c ** (2 * n + 2)
-        if best is None or resid < best[0]:
-            best = (resid, tail)
-    if best is None:
-        return None
-    return float(best[1])
+def _grid(g, r, target, n):
+    """The s-grid reaching at least target (and 8 steps), ghat on it with a
+    reach of twice its edge (at least edge + 40), its Simpson weights, the
+    mass |s|^n |ghat| w per node, and the transform's nt."""
+    ds = np.pi / (4.0 * (r + 1.0))
+    m = max(int(np.ceil(target / ds)), 8)
+    s = ds * np.arange(-m, m + 1)
+    ghat, nt = _transform_on_grid(g, r, m, s[-1] + max(40.0, s[-1]))
+    ws = simpson_weights(2 * m + 1, ds)
+    return s, ghat, ws, np.abs(s) ** n * np.abs(ghat) * ws, nt
 
 
 def fourier_table(g, r, n_max=2):
@@ -212,50 +159,48 @@ def fourier_table(g, r, n_max=2):
 
     The s-grid step pi / (4 (r + 1)) keeps eight nodes per oscillation of
     exp(i s lambda) over the ball of radius r plus the mollifier skirt.
-    s_max grows until the estimated not-yet-gridded tail of |s|^n_max
-    |ghat| falls below FOURIER_TAIL_TOL of the whole; a cap failure raises
-    GridError. Samples below the transform round-off floor are stored as
-    zero so they cannot pollute later synthesis quadratures.
+    The edge s_max starts near 40 and doubles until the grid the next
+    doubling builds holds at most FOURIER_TAIL_TOL of the current grid's
+    mass of |s|^n_max |ghat| beyond s_max; that grid is free of aliasing up
+    to 2 s_max, and it becomes the current one when the test fails, so no
+    transform is computed twice. The measured fraction is tail_fraction;
+    an s_max past FOURIER_S_MAX_CAP that still fails raises GridError.
+    Orders above FOURIER_MAX_N and radii above FOURIER_MAX_RADIUS are
+    refused before any transform.
     """
-    if r <= 0:
-        raise ParseError(f"fourier_table: radius must be positive, got {r}")
-    ds = np.pi / (4.0 * (r + 1.0))
-    target = 40.0
-
+    if not 0 < r < np.inf:
+        raise ParseError(f"fourier_table: radius must be positive and finite, got {r}")
+    if r > FOURIER_MAX_RADIUS:
+        raise CapExceededError(f"fourier_table: radius {r:g} above {FOURIER_MAX_RADIUS:g}")
+    if n_max < 0:
+        raise ParseError(f"fourier_table: order must be >= 0, got {n_max}")
+    if n_max > FOURIER_MAX_N:
+        raise CapExceededError(f"fourier_table: order {n_max} above {FOURIER_MAX_N}")
+    s, ghat, ws, mass, nt = _grid(g, r, 40.0, n_max)
     while True:
-        m = max(int(np.ceil(target / ds)), 8)
-        s_grid = ds * np.arange(-m, m + 1)
-        reach = s_grid[-1] + max(40.0, s_grid[-1])
-        ghat, nt, floor = _transform_on_grid(g, r, m, reach)
-        ghat[np.abs(ghat) < floor] = 0.0
-        ws = simpson_weights(len(s_grid), ds)
-        mass = np.abs(s_grid) ** n_max * np.abs(ghat) * ws
-        total = float(mass.sum())
+        total, s_max = float(mass.sum()), s[-1]
         if total == 0.0:
             tail_fraction = 0.0
             break
-        tail = _tail_estimate(s_grid, ghat, floor, n_max)
-        if tail is not None:
-            tail_fraction = tail / total
-            if tail_fraction <= FOURIER_TAIL_TOL:
-                break
-        else:
-            tail_fraction = np.inf
-        if s_grid[-1] >= FOURIER_S_MAX_CAP:
+        wider = _grid(g, r, 2.0 * s_max, n_max)
+        tail_fraction = float(wider[3][np.abs(wider[0]) > s_max].sum()) / total
+        if tail_fraction <= FOURIER_TAIL_TOL:
+            break
+        if s_max >= FOURIER_S_MAX_CAP:
             raise GridError(
-                f"fourier_table: estimated tail fraction {tail_fraction:.3e} "
-                f"above {FOURIER_TAIL_TOL:g} at s_max = {s_grid[-1]:.1f}; grid too small"
+                f"fourier_table: tail fraction {tail_fraction:.3e} above "
+                f"{FOURIER_TAIL_TOL:g} at s_max = {s_max:.1f}; grid too small"
             )
-        target = 2.0 * s_grid[-1]
+        s, ghat, ws, mass, nt = wider
 
     probes = np.linspace(-r, r, 41)
-    recon = np.exp(1j * np.outer(probes, s_grid)) @ (ws * ghat)
+    recon = np.exp(1j * np.outer(probes, s)) @ (ws * ghat)
     gvals = np.asarray(g.eval_derivative(probes, 0), dtype=np.complex128)
     residual = float(np.max(np.abs(recon - gvals)))
     return FourierTable(
         g_label=g.label(),
         radius=float(r),
-        s=s_grid,
+        s=s,
         ghat=ghat,
         weights=ws,
         n_max=int(n_max),

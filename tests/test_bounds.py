@@ -46,6 +46,16 @@ def test_negative_orders_are_rejected():
         probe_seminorm(GaussianFunction(), -1, 1.0, 4, budget=4, seed=1)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_non_finite_radii_are_rejected(r):
+    with pytest.raises(ParseError, match="radius"):
+        sobolev_bound(ExpFunction(), 1, r)
+    with pytest.raises(ParseError, match="radius"):
+        power_bound(3, 1, r)
+    with pytest.raises(ParseError, match="finite r"):
+        probe_seminorm(GaussianFunction(), 1, r, 4, budget=4, seed=1)
+
+
 def test_overflowing_bounds_and_probes_raise():
     for g, r in ((ExpFunction(), 800.0), (MonomialFunction(3), 1e200)):
         with pytest.raises(OverflowRangeError, match="sobolev_bound"):

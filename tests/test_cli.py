@@ -207,6 +207,7 @@ def test_parse_failures_exit_2(mats, tmp_path):
                  "--order", "2", "--dir", mats["v"]]) == 2
     assert main(["frobnicate"]) == 2  # unknown subcommand via argparse
     assert main(["volume"]) == 2  # missing --order
+    assert main(["volume", "--order", "-1"]) == 2
 
 
 @pytest.mark.parametrize("command", ["bound", "probe"])
@@ -272,6 +273,40 @@ def test_fourier_rejects_bad_arguments_before_the_table(mats, tmp_path, monkeypa
     big = tmp_path / "big.json"
     save_matrix(np.zeros((33, 33), dtype=complex), big)
     assert main(base + ["--matrix", str(big), "--dir", str(big)]) == 4
+
+
+@pytest.fixture
+def no_transform(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a Fourier transform ran for a request that must be refused")
+
+    monkeypatch.setattr("hermcalc.spectral._transform_on_grid", fail)
+
+
+def test_fourier_order_four_exits_4_before_the_table(mats, tmp_path, capsys, no_transform):
+    argv = ["deriv", "--matrix", mats["x"], "--function", "gaussian", "--method", "fourier"]
+    code, doc = run(argv + ["--dir", mats["v"]] * 4, tmp_path)
+    assert code == 4 and doc is None
+    err = capsys.readouterr().err
+    assert "order 4" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius, code", [("nan", 2), ("inf", 2), ("1e300", 4)])
+def test_fourier_radius_outside_the_caps(mats, tmp_path, capsys, no_transform, radius, code):
+    argv = ["deriv", "--matrix", mats["x"], "--function", "sin", "--dir", mats["v"],
+            "--method", "fourier", "--radius", radius]
+    assert run(argv, tmp_path) == (code, None)
+    err = capsys.readouterr().err
+    assert "radius" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["bound", "probe"])
+@pytest.mark.parametrize("function", ["gaussian", "monomial:3"])
+def test_non_finite_radius_exits_2(capsys, command, function, radius):
+    assert main([command, "--function", function, "--order", "1", "--radius", radius]) == 2
+    err = capsys.readouterr().err
+    assert "radius" in err and "Traceback" not in err
 
 
 def test_eigensolver_failure_exits_3(mats, monkeypatch):

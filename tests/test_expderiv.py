@@ -249,6 +249,8 @@ def test_caps_and_overflow_guards():
         mat_exp(np.diag([800.0, 0.0]).astype(complex))
     with pytest.raises(CapExceededError):
         simplex_volume_mc(9, samples=100, seed=0)
+    with pytest.raises(ParseError, match="order"):
+        simplex_volume_mc(-1, samples=100, seed=0)
     # exp(800) overflows on both derivative routes; an imaginary scale cannot
     big, sx = np.diag([800.0, 1.0]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(OverflowRangeError):

@@ -24,7 +24,7 @@ from hermcalc.functions import (
     function_from_dict,
     parse_function,
 )
-from hermcalc.spectral import _upper_gamma, fourier_table
+from hermcalc.spectral import fourier_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -119,16 +119,6 @@ def test_gaussian_derivatives_match_mpmath():
             worst = max(worst, err / scale if scale else 0.0)
             scale_prev, scale = scale, abs(float(t)) * scale + m * scale_prev
     assert worst > 0.0
-
-
-def test_upper_gamma_closed_form_matches_scipy():
-    from scipy import special
-
-    for n in range(5):
-        a = 2 * n + 2
-        for x in np.concatenate([np.linspace(0.0, 100.0, 201), [1e-3, 0.37]]):
-            want = special.gammaincc(a, x) * special.gamma(a)
-            assert _upper_gamma(a, x) == pytest.approx(want, rel=1e-13, abs=1e-300)
 
 
 def test_import_loads_no_scipy():

@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private name is read by some module of the package.
 
-There is no linter in the toolchain, so this scan keeps dead imports out
-of src/. The package's __init__.py is skipped: its imports are the
-public re-exports.
+There is no linter in the toolchain, so these scans keep dead imports and
+orphaned helpers out of src/. The import scan skips the package's
+__init__.py: its imports are the public re-exports.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hermcalc"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -41,3 +43,41 @@ def test_scan_covers_the_package():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources):
+    """(module, line, name) of each module-level _name (not a dunder)
+    defined in one of the sources, a {module: source} map, that none of
+    them reads as a name, an attribute or an import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, node.lineno, n) for n in names if n[:1] == "_" and n[:2] != "__"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_the_scan_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_A = 1\n_b, c = 2, 3\ndef _f():\n    return _b\nclass _K: pass\n__all__ = []\n",
+        "b.py": "from .a import _f\nimport a\n_f(a._K)\n",
+    }
+    assert unread_private_names(sources) == [("a.py", 1, "_A")]
+
+
+def test_package_reads_every_private_name():
+    assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []

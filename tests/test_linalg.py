@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hermcalc import linalg
 from hermcalc.errors import ConvergenceError, ParseError
 from hermcalc.linalg import (
     HermitianMatrix,
@@ -75,6 +76,26 @@ def test_eig_maps_lapack_failure_to_convergence_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError):
         eig(np.eye(2))
+
+
+def test_hermitian_eig_validates_nothing_twice(monkeypatch):
+    # the wrapper's array is exactly Hermitian already: eig takes it as it is
+    calls, validate = [], linalg.validate_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "validate_matrix", counted)
+    gen = np.random.default_rng(5)
+    a = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    h = HermitianMatrix(a + a.conj().T)
+    assert len(calls) == 1
+    dec = h.eig()
+    assert len(calls) == 1
+    want = eig(h.array)
+    np.testing.assert_array_equal(dec.eigenvalues, want.eigenvalues)
+    np.testing.assert_array_equal(dec.vectors, want.vectors)
 
 
 def test_op_norm_examples():

@@ -27,6 +27,9 @@ from hermcalc.linalg import frobenius, op_norm
 from hermcalc.oracle import fd_derivative
 from hermcalc.powers import power_derivative
 from hermcalc.spectral import (
+    FOURIER_MAX_N,
+    FOURIER_MAX_RADIUS,
+    _grid,
     apply_function,
     fourier_table,
     function_derivative_dd,
@@ -316,6 +319,72 @@ def test_fourier_tables_at_radius_six(g):
     a = function_derivative_fourier(table, x, dirs).matrix
     b = function_derivative_dd(g, x, dirs).matrix
     assert op_norm(a - b) <= 1e-6 * op_norm(b)
+
+
+# the Fourier route's own check over the order cap: every order it serves
+# meets dd, and order 4 is refused before any transform
+ROUTE_FUNCTIONS = ["gaussian", "sin", "cos", "exp", "monomial:3"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
+@pytest.mark.parametrize("spec", ROUTE_FUNCTIONS)
+def test_fourier_route_meets_dd_up_to_order_three(spec, r, n):
+    # the table the CLI builds for order n, at a point of norm 0.95 r
+    g = parse_function(spec)
+    table = fourier_table(g, r, n_max=n)
+    gen = np.random.default_rng(97)
+    x = random_hermitian(gen, 4)
+    x *= 0.95 * r / op_norm(x)
+    dirs = [random_hermitian(gen, 4) for _ in range(n)]
+    a = function_derivative_fourier(table, x, dirs).matrix
+    b = function_derivative_dd(g, x, dirs).matrix
+    scale = op_norm(b)
+    assert op_norm(a - b) <= 1e-5 * (scale if scale > 0 else 1.0)
+
+
+@pytest.fixture
+def no_transform(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a transform ran for a request that must be refused")
+
+    monkeypatch.setattr("hermcalc.spectral._transform_on_grid", fail)
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
+@pytest.mark.parametrize("spec", ROUTE_FUNCTIONS)
+def test_fourier_route_refuses_order_four(spec, r, no_transform):
+    assert FOURIER_MAX_N == 3
+    with pytest.raises(CapExceededError, match="order 4"):
+        fourier_table(parse_function(spec), r, n_max=4)
+
+
+@pytest.mark.parametrize(
+    "r, n_max, error",
+    [
+        (np.nan, 1, ParseError),
+        (np.inf, 1, ParseError),
+        (-np.inf, 1, ParseError),
+        (0.0, 1, ParseError),
+        (np.nextafter(FOURIER_MAX_RADIUS, np.inf), 1, CapExceededError),
+        (1e300, 1, CapExceededError),
+        (2.0, -1, ParseError),
+    ],
+)
+def test_fourier_table_checks_its_arguments_first(r, n_max, error, no_transform):
+    with pytest.raises(error, match="radius" if n_max == 1 else "order"):
+        fourier_table(SinFunction(), r, n_max=n_max)
+
+
+def test_fourier_tail_is_measured_on_the_next_grid():
+    # the grid twice as wide holds the reported fraction of the mass of
+    # |s| |ghat| beyond the table's edge, and the table is its centre
+    t = fourier_table(GaussianFunction(), 2.0, n_max=1)
+    s, _, _, mass, _ = _grid(GaussianFunction(), 2.0, 2.0 * t.s[-1], 1)
+    beyond = np.abs(s) > t.s[-1]
+    total = float(np.sum(np.abs(t.s) * np.abs(t.ghat) * t.weights))
+    assert 0.0 < t.tail_fraction == float(mass[beyond].sum()) / total <= 1e-8
+    np.testing.assert_array_equal(s[~beyond], t.s)
 
 
 def test_fourier_table_diagnostics(gaussian_table):
