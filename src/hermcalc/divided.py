@@ -179,7 +179,7 @@ def derivative_matrix(lam, vectors, dirs, g):
     elif n == 1:
         core = w[:, 0] * tensor
     else:
-        # Sum over orderings by subsets, as expderiv._mc_chunk does per
+        # Sum over orderings by subsets, as expderiv._mc_sum does per
         # sample: paths[mask] holds, summed over the orderings of the j
         # directions in mask, V_1[i0, i1] ... V_j[i(j-1), ij].
         paths = {0: np.ones((b, d))}

@@ -7,8 +7,8 @@ point applied to direction matrices:
     differences of exp over eigenvalue chains.
   * exp_derivative_mc: Monte-Carlo quadrature of the simplex integral
     sum over orderings of exp(t0 x) v exp(t1 x) ... exp(tn x), with the
-    simplex carrying total mass 1/n!, its ordering sum started from
-    precomputed direction pairs (see _mc_chunk).
+    simplex carrying total mass 1/n!, each batch of samples joined in one
+    GEMM over the sample axis per subset of directions (see _mc_sum).
 
 Both accept a complex scale factor z and differentiate at z*x; the dd
 route takes the divided differences over the complex nodes z lam.
@@ -30,8 +30,8 @@ EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
 SIMPLEX_MAX_N = 8
 EXP_ARG_LIMIT = 700.0
-# (row, sample, column) entries per array of an MC sub-block (512 KB): keeps the
-# GEMMs and the GEMV sample sum in cache and bounds memory; draws do not depend on it.
+# (sample, row, column) entries per array of an MC sub-block (512 KB complex):
+# keeps the GEMMs in cache and bounds memory; draws and batches do not depend on it.
 MC_SUB_ENTRIES = 1 << 15
 
 
@@ -115,68 +115,65 @@ def exp_derivative_dd(x, dirs, scale=1.0):
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
 
 
-def _merge_m2(n_a, sum_a, m2_a, n_b, sum_b, m2_b):
-    """Chan's update: m2 = sum |y - mean|^2 over two joined groups, from each one's n, sum, m2."""
-    if not n_a:
-        return m2_b
-    delta = sum_b / n_b - sum_a / n_a
-    return m2_a + m2_b + (delta.real**2 + delta.imag**2) * (n_a * n_b / (n_a + n_b))
+def _real_gemm(a, w):
+    """a @ w for a complex w whose last axis is contiguous: one real GEMM on
+    w's float64 view when a is real, as the exponentials of a real scale are."""
+    if a.dtype == np.complex128:
+        return a @ w
+    return (a @ w.view(np.float64)).view(np.complex128)
 
 
-def _mc_chunk(block, count, seed, scale, dec, dirs_eig, pairs):
-    """One counter-seeded chunk: per-sample chain products in the original
-    basis, their sum (a GEMV) and their sum of |y - mean|^2. For k < l,
-    pairs[1 << k | 1 << l] is the eigenbasis P[a, i, b] = (V_k[a, i] V_l[i, b]
-    + V_l[a, i] V_k[i, b]) / n!; for a real scale the exponentials stay real
-    and P is its float64 view, so each pair's level 2 is one real GEMM."""
-    lam, vectors, n = dec.eigenvalues, dec.vectors, len(dirs_eig)
-    d = len(lam)
-    gen = rng.generator(seed, rng.STREAM_SIMPLEX, block)
-    e = gen.standard_exponential((count, n + 1))
-    t = e / e.sum(axis=1, keepdims=True)
-    ex = np.exp((scale.real if scale.imag == 0 else scale) * np.multiply.outer(t, lam))
-    total = m2 = 0.0
-    step = MC_SUB_ENTRIES // (d * d)
-    for lo in range(0, count, step):
-        exs = ex[lo : lo + step]
-        # Sum over orderings by subsets, as divided.derivative_matrix does
-        # without the diagonals: level[mask] holds, summed over the
-        # orderings of the j directions in mask, V_1 diag(ex_1) V_2 ...
-        # diag(ex_j-1) V_j / n!, laid out (row, sample, column) so that each
-        # factor is one GEMM. Level 2 is ex_1 @ P, read as complex without a
-        # copy; for n <= 1 the core is V_0 or the identity.
-        level = {m: np.matmul(exs[:, 1], p).view(np.complex128) for m, p in pairs.items()}
-        if n < 2:
-            level = {n: (dirs_eig[0] if n else np.eye(d))[:, None, :]}
-        for j in range(2, n):
-            nxt = {}
-            for mask, f in level.items():
-                f = f * exs[:, j]
-                for k in (k for k in range(n) if not mask >> k & 1):
-                    term = (f.reshape(-1, d) @ dirs_eig[k]).reshape(d, -1, d)
-                    key = mask | 1 << k
-                    if nxt.setdefault(key, term) is not term:
-                        nxt[key] += term  # in place: a fresh array costs more
-            level = nxt
-        # the outer diagonals diag(ex_0) and diag(ex_n), then back to the
-        # original basis, vectors @ y @ vectors^H, as two GEMMs
-        y = level[(1 << n) - 1] * exs[:, 0].T[:, :, None]
-        if n:
-            y *= exs[:, n]
-        y = vectors @ y.reshape(d, -1)
-        y = (y.reshape(-1, d) @ vectors.conj().T).reshape(d, -1, d)
-        sub = np.ones(len(exs)) @ y  # a GEMV: y.sum(axis=1) took 6x longer
-        y -= sub[:, None, :] / len(exs)  # in place: a fresh array made MC 12 % slower
-        sq = np.einsum("isj,isj->ij", y.view(np.float64), y.view(np.float64))
-        m2 = _merge_m2(lo, total, m2, len(exs), sub, sq[:, 0::2] + sq[:, 1::2])
-        total = total + sub
-    return total, m2
+def _mc_sum(ex, dirs_eig, pairs):
+    """The eigenbasis chain sums, summed over orderings, of diag(ex_0) V_1
+    diag(ex_1) ... V_n diag(ex_n) / n!, summed over a sub-block of samples;
+    ex is laid out (level, sample, eigenvalue). Up to level n - 1 the
+    orderings are summed over subsets per sample, as divided.derivative_matrix
+    does without the diagonals: level[mask] (sample, row, column) holds,
+    summed over the orderings of the j directions in mask, V_1 diag(ex_1) V_2
+    ... diag(ex_j-1) V_j / n!. Level 2 is ex_1 times pairs[1 << k | 1 << l]
+    [i, a, m] = (V_k[a, i] V_l[i, m] + V_l[a, i] V_k[i, m]) / n!. The last
+    direction k, the outer diagonals and the sum over samples are one GEMM
+    over the sample axis per level-(n - 1) mask: G[c, a, m] = sum_s
+    ex_n[s, c] ex_0[s, a] F[s, a, m] ex_n-1[s, m], and Y[a, c] = sum_m
+    G[c, a, m] V_k[m, c]. For n <= 2 the level-(n - 1) factors are constant."""
+    n, s, d = ex.shape[0] - 1, ex.shape[1], ex.shape[2]
+    if n == 0:
+        return np.diag(ex[0].sum(axis=0))
+    if n == 1:
+        return dirs_eig[0] * (ex[0].T @ ex[1])
+    outer = ex[0][:, :, None] * ex[n - 1][:, None, :]
+    if n == 2:
+        g = ex[2].T @ outer.reshape(s, -1)
+        return np.einsum("cam,mac->ac", g.reshape(d, d, d), pairs[3])
+    level = {m: _real_gemm(ex[1], p.reshape(d, -1)).reshape(s, d, d) for m, p in pairs.items()}
+    # each level array is read once, so the diagonals scale it in place
+    for j in range(2, n - 1):
+        nxt = {}
+        for mask, f in level.items():
+            f *= ex[j][:, None, :]
+            for k in (k for k in range(n) if not mask >> k & 1):
+                term = (f.reshape(-1, d) @ dirs_eig[k]).reshape(s, d, d)
+                key = mask | 1 << k
+                if nxt.setdefault(key, term) is not term:
+                    nxt[key] += term
+        level = nxt
+    y, full = 0, (1 << n) - 1
+    for m, f in level.items():
+        f *= outer
+        g = _real_gemm(ex[n].T, f.reshape(s, -1)).reshape(d, d, d)
+        y = y + np.einsum("cam,mc->ac", g, dirs_eig[(full ^ m).bit_length() - 1])
+    return y
 
 
 def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     """Monte-Carlo estimate of the exp derivative with per-entry standard
-    errors: uniform simplex samples, E[integrand] / n! summed over
-    direction orderings. Bit-reproducible; threads is accepted and ignored."""
+    errors: uniform simplex samples, E[integrand] / n! summed over direction
+    orderings. Each 4096-sample block is summed in batches of
+    b = min(256, max(1, samples // 64)) samples, the last one of a block
+    possibly partial, and each batch sum is rotated back once; std_error is
+    the batch-means estimate sqrt(sum_k n_k |m_k - m|^2 / ((K - 1) N)) over
+    the K batches, the per-sample one for b = 1. Bit-reproducible; threads
+    is accepted and ignored."""
     h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
     samples = int(samples)
@@ -184,29 +181,40 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
         raise ParseError("exp_derivative_mc: need at least 2 samples")
     scale, dec = complex(scale), h.eig()
     _check_exp_range("exp_derivative_mc", scale, dec.eigenvalues)
-    dirs_eig = to_eigenbasis(dec.vectors, dirs)
-    pairs = {}
-    for (k, a), (l, b) in combinations(enumerate(dirs_eig), 2):
-        p = (a[:, :, None] * b + b[:, :, None] * a) / factorial(n)
-        pairs[1 << k | 1 << l] = p.view(np.float64) if scale.imag == 0 else p
-
-    d = h.dim
+    d, u = h.dim, dec.vectors
+    dirs_eig = to_eigenbasis(u, dirs)
+    pairs = {
+        1 << k | 1 << l: (a.T[:, :, None] * b[:, None, :] + b.T[:, :, None] * a[:, None, :])
+        / factorial(n)
+        for (k, a), (l, b) in combinations(enumerate(dirs_eig), 2)
+    }
+    batch = min(256, max(1, samples // 64))
+    sub = min(batch, MC_SUB_ENTRIES // (d * d))
+    z = scale.real if scale.imag == 0 else scale
     total = np.zeros((d, d), dtype=np.complex128)
-    m2 = done = 0
+    m2 = done = batches = 0
     for block, count in rng.blocks(samples):
-        sum_y, m2_y = _mc_chunk(block, count, seed, scale, dec, dirs_eig, pairs)
-        m2 = _merge_m2(done, total, m2, count, sum_y, m2_y)
-        total += sum_y
-        done += count
-    mean = total / samples
-    se = np.sqrt(m2 / ((samples - 1) * samples))
+        e = rng.generator(seed, rng.STREAM_SIMPLEX, block).standard_exponential((count, n + 1))
+        t = e / e.sum(axis=1, keepdims=True)
+        ex = np.exp(z * np.multiply.outer(t.T, dec.eigenvalues))
+        for lo in range(0, count, batch):
+            hi = min(lo + batch, count)
+            subs = (ex[:, i : min(i + sub, hi)] for i in range(lo, hi, sub))
+            y = sum(_mc_sum(part, dirs_eig, pairs) for part in subs)
+            y, size = u @ y @ u.conj().T, hi - lo
+            if done:  # Chan's update of sum_k n_k |m_k - m|^2, the batch as one point
+                dev = y / size - total / done
+                m2 = m2 + (dev.real**2 + dev.imag**2) * (size * done / (done + size))
+            total += y
+            done += size
+            batches += 1
     return MultilinearDerivative(
-        matrix=mean,
+        matrix=total / samples,
         order=n,
         method="mc",
         scale=scale,
         samples=samples,
-        std_error=se,
+        std_error=np.sqrt(m2 / ((batches - 1) * samples)),
         seed=int(seed),
     )
 

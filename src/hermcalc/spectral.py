@@ -194,7 +194,9 @@ def fourier_table(g, r, n_max=2):
         s, ghat, ws, mass, nt = wider
 
     probes = np.linspace(-r, r, 41)
-    recon = np.exp(1j * np.outer(probes, s)) @ (ws * ghat)
+    # one probe at a time: all 41 rows at once take 108 MB per matrix at r = 100
+    wg = ws * ghat
+    recon = np.array([np.exp(1j * (p * s)) @ wg for p in probes])
     gvals = np.asarray(g.eval_derivative(probes, 0), dtype=np.complex128)
     residual = float(np.max(np.abs(recon - gvals)))
     return FourierTable(

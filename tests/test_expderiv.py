@@ -3,11 +3,12 @@ sampler over ordered simplices, and the simplex volume estimator."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hermcalc import rng
+from hermcalc import expderiv, rng
 from hermcalc.errors import CapExceededError, OverflowRangeError, ParseError
 from hermcalc.expderiv import (
     exp_derivative_dd,
@@ -166,13 +167,33 @@ def test_mc_is_deterministic_and_thread_invariant():
     assert not np.array_equal(a.matrix, other.matrix)
 
 
+def test_mc_memory_at_the_caps():
+    # sub-blocks of at most MC_SUB_ENTRIES (sample, row, column) entries; a
+    # d^(n+1) tensor per batch would be about 268 MB at d = 32, n = 4
+    gen = np.random.default_rng(52)
+    x = random_hermitian(gen, 32)
+    dirs = [random_hermitian(gen, 32) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        exp_derivative_mc(x, dirs, samples=2000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def mc_reference(x, dirs, samples, seed, scale):
     """The MC estimate formed one sample at a time in the original basis:
     the same Philox draws, exp(scale t_j x) from numpy's eigh, and the
-    chains summed over orderings as stacks of per-sample d x d products."""
+    chains summed over orderings as stacks of per-sample d x d products.
+    The standard error is the batch-means one: inside each 4096-sample
+    block, batches of b = min(256, max(1, samples // 64)) samples, the last
+    one possibly partial, and se^2 = sum_k n_k |m_k - m|^2 / ((K - 1) N)
+    over the K batches; for b = 1 it is the per-sample estimator."""
     lam, u = np.linalg.eigh(x)
     n = len(dirs)
-    ys = []
+    b = min(256, max(1, samples // 64))
+    ys, batches = [], []
     for block, count in rng.blocks(samples):
         e = rng.generator(seed, rng.STREAM_SIMPLEX, block).standard_exponential((count, n + 1))
         t = e / e.sum(axis=1, keepdims=True)
@@ -187,31 +208,56 @@ def mc_reference(x, dirs, samples, seed, scale):
                 m = m @ dirs[k] @ ex[j + 1]
             y = y + m
         ys.append(y / math.factorial(n))
-    ys = np.concatenate(ys)
-    var = ys.real.var(axis=0, ddof=1) + ys.imag.var(axis=0, ddof=1)
-    return ys.mean(axis=0), np.sqrt(var / samples)
+        batches += [ys[-1][lo : lo + b] for lo in range(0, count, b)]
+    mean = np.concatenate(ys).mean(axis=0)
+    sizes = np.array([len(batch) for batch in batches])[:, None, None]
+    dev = np.array([batch.mean(axis=0) for batch in batches]) - mean
+    var = (sizes * (dev.real**2 + dev.imag**2)).sum(axis=0) / (len(batches) - 1)
+    return mean, np.sqrt(var / samples)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j, 3.3j])
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_mc_matches_per_sample_reference(d, scale):
-    # 5000 samples span two Philox blocks, each split into sub-blocks at
-    # d >= 5 (eight at d = 8); a real scale takes real exponentials, 3.3j
-    # complex ones on the unit circle
+    # 5000 samples span two Philox blocks in batches of 78, with a partial
+    # batch closing either block; at 2 and 100 samples every batch is one
+    # sample. A real scale takes real exponentials, 3.3j complex ones on
+    # the unit circle
     gen = np.random.default_rng(53 + d)
+    for samples in (5000, 2, 100):
+        for n in range(5):
+            x = random_hermitian(gen, d)
+            x *= 1.5 / op_norm(x)
+            dirs = [random_hermitian(gen, d) for _ in range(n)]
+            est = exp_derivative_mc(x, dirs, samples=samples, seed=21, scale=scale)
+            mean, se = mc_reference(x, dirs, samples, 21, scale)
+            assert np.max(np.abs(est.matrix - mean)) <= 1e-12 * np.max(np.abs(mean))
+            if n == 0 or d == 1:
+                # commuting factors: every sample gives the same matrix, so the
+                # standard error is 0 up to the rounding of the batch means
+                assert np.max(est.std_error) <= 1e-12 * np.max(np.abs(mean))
+            else:
+                assert np.max(np.abs(est.std_error - se)) <= 1e-12 * np.max(se)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
+def test_mc_sub_blocks_only_regroup_the_sums(monkeypatch, scale):
+    # with room for 7 samples per sub-block, each batch of 78 is summed in
+    # 12 pieces; the estimate and its standard error move by rounding only
+    gen = np.random.default_rng(54)
+    x = random_hermitian(gen, 5)
+    kernel, sizes = expderiv._mc_sum, []
     for n in range(5):
-        x = random_hermitian(gen, d)
-        x *= 1.5 / op_norm(x)
-        dirs = [random_hermitian(gen, d) for _ in range(n)]
-        est = exp_derivative_mc(x, dirs, samples=5000, seed=21, scale=scale)
-        mean, se = mc_reference(x, dirs, 5000, 21, scale)
-        assert np.max(np.abs(est.matrix - mean)) <= 1e-12 * np.max(np.abs(mean))
-        if n == 0 or d == 1:
-            # commuting factors: every sample gives the same matrix, so the
-            # standard error is 0 up to the rounding of the sample means
-            assert np.max(est.std_error) <= 1e-12 * np.max(np.abs(mean))
-        else:
-            assert np.max(np.abs(est.std_error - se)) <= 1e-12 * np.max(se)
+        dirs = [random_hermitian(gen, 5) for _ in range(n)]
+        whole = exp_derivative_mc(x, dirs, samples=5000, seed=22, scale=scale)
+        with monkeypatch.context() as m:
+            m.setattr(expderiv, "MC_SUB_ENTRIES", 7 * 5 * 5)
+            m.setattr(expderiv, "_mc_sum", lambda e, *a: sizes.append(e.shape[1]) or kernel(e, *a))
+            split = exp_derivative_mc(x, dirs, samples=5000, seed=22, scale=scale)
+        tol = 1e-12 * np.max(np.abs(whole.matrix))
+        assert np.max(np.abs(split.matrix - whole.matrix)) <= tol
+        assert np.max(np.abs(split.std_error - whole.std_error)) <= tol
+    assert max(sizes) == 7
 
 
 def test_simplex_volume_reference_values():

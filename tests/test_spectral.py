@@ -1,6 +1,8 @@
 """Scalar functions of Hermitian matrices: direct spectral application,
 divided-difference derivatives, and the Fourier synthesis path."""
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -385,6 +387,18 @@ def test_fourier_tail_is_measured_on_the_next_grid():
     total = float(np.sum(np.abs(t.s) * np.abs(t.ghat) * t.weights))
     assert 0.0 < t.tail_fraction == float(mass[beyond].sum()) / total <= 1e-8
     np.testing.assert_array_equal(s[~beyond], t.s)
+
+
+def test_fourier_table_memory_at_the_radius_cap():
+    # the reconstruction check sums one probe at a time: a (41, nodes)
+    # complex matrix of the 164,609-node sin table at r = 100 alone is 108 MB
+    tracemalloc.start()
+    try:
+        fourier_table(SinFunction(), 100.0, n_max=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_fourier_table_diagnostics(gaussian_table):
