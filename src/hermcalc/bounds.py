@@ -19,11 +19,12 @@ The candidates are evaluated in stacks through the one derivative core:
 per stack one eigh of the (B, d, d) points, one divided-difference table
 over every point's ascending index tuples, one fold with a leading batch
 axis and one batch of singular values for the numerators and one for the
-direction norms. A stack holds at most PROBE_STACK_ENTRIES chain-tensor
-entries B d^(n+1), so d <= 8, n <= 2 takes up to 128 candidates at once
-and d = 32, n = 4 one. The best candidate is the first of the largest in candidate order,
-as one at a time would find it, and each evaluation gives the same bits
-on a stack as alone. The climb steps are evaluated speculatively in
+direction norms. A stack holds at most divided.SLAB_ENTRIES chain-tensor
+entries B d^(n+1), so d <= 8, n <= 2 takes up to 128 candidates at once,
+d = 32, n = 4 one, and each stack's tensor is contracted in one block.
+The best candidate is the first of the largest in candidate order, as
+one at a time would find it, and each evaluation gives the same bits on
+a stack as alone. The climb steps are evaluated speculatively in
 stacks of up to _stack_size(d, n) from the current state; the first that
 beats it is accepted and the climb goes on from the step after it, so the
 result equals that of the climb run one step after the other.
@@ -35,7 +36,7 @@ from math import factorial
 
 import numpy as np
 
-from . import rng
+from . import divided, rng
 from .divided import derivative_matrix
 from .errors import OverflowRangeError, ParseError
 from .expderiv import check_derivative_args
@@ -48,9 +49,6 @@ PROBE_DEFAULT_BUDGET = 64
 PROBE_CLIMB_STEPS = 50
 PROBE_BOUNDARY_FRACTION = 0.7
 PROBE_CLIMB_DECAY = 0.664
-# chain-tensor entries B d^(n+1) per stack of candidates (1 MB complex):
-# bounds the memory, a d = 32, n = 4 probe goes one candidate at a time
-PROBE_STACK_ENTRIES = 1 << 16
 
 CSV_HEADER = "g_kind,n,r,d,bound,empirical,slack,samples,seed"
 
@@ -147,8 +145,9 @@ def _evaluate(g, xs, dirs):
 
 
 def _stack_size(d, n):
-    """Candidates per stack: as many as keep B d^(n+1) within PROBE_STACK_ENTRIES, at least 1."""
-    return max(1, PROBE_STACK_ENTRIES // d ** (n + 1))
+    """Candidates per stack: as many as keep B d^(n+1) within one slab, at
+    least 1, so a d = 32, n = 4 probe goes one candidate at a time."""
+    return max(1, divided.SLAB_ENTRIES // d ** (n + 1))
 
 
 def _candidate_stacks(n, r, d, seed, budget):

@@ -14,16 +14,18 @@ the tensor of divided differences over eigenvalue chains:
 summed over all orderings of the directions. derivative_matrix sums them by
 subsets, as the Monte Carlo kernel does, and folds the last direction into
 the contraction with the tensor, so its path sums hold d^n entries per
-point; the tensor itself, (B,) + (d,)^(n+1), is built whole by chain_tensor.
+point. The tensor, (B,) + (d,)^(n+1), is never built whole: it is gathered
+from the table and contracted one block of leading indices at a time, a
+block holding at most SLAB_ENTRIES entries (chain_tensor gathers it whole).
 
-One Newton table computes those values, and chain_tensor is its one
-entry. It runs over ascending index tuples into the rows of an array t of
-nodes: ascending eigenvalues, or those times a complex z (exp(z x) on the
-exp route), whose spans, midpoints and Newton divisors are then the real
-ones times z. Divided differences are symmetric, so the table holds each
-ascending index tuple of a row once, and the level below supplies every
-entry's two parents. Every entry, over nodes t_k0..t_kj with span
-w = |t_kj - t_k0|, follows one rule:
+One Newton table computes those values. It runs over ascending index
+tuples into the rows of an array t of nodes: ascending eigenvalues, or
+those times a complex z (exp(z x) on the exp route), whose spans,
+midpoints and Newton divisors are then the real ones times z. Divided
+differences are symmetric, so the table holds each ascending index tuple
+of a row once, and the level below supplies every entry's two parents.
+Every entry, over nodes t_k0..t_kj with span w = |t_kj - t_k0|, follows
+one rule:
 
   * w <= TAYLOR_SPAN: the Taylor series about the midpoint c,
         sum_q g^(j+q)(c) / (j+q)! * h_q(t_k0 - c, ..., t_kj - c),
@@ -54,6 +56,9 @@ from math import factorial
 
 import numpy as np
 
+# entries per slab (1 MB complex): a probe stack's B d^(n+1), a leading-index
+# block's B d^n (a1 - a0), a chunk of one level's Taylor entries
+SLAB_ENTRIES = 1 << 16
 TAYLOR_SPAN = 1.0
 BAND_TAYLOR_SPAN = 4.0
 _EPS = float(np.finfo(float).eps)
@@ -73,7 +78,8 @@ def _taylor_terms(g, j, rho):
             q[more] += 1
             tail[more] *= rho[more] / (q[more] + 1)
         return q
-    safe = np.where(rho > 0.0, rho, 0.5)
+    # rho^Q <= eps; capped where Taylor entries end, so log rho is never 0
+    safe = np.where(rho > 0.0, np.minimum(rho, 0.5 * TAYLOR_SPAN), 0.5)
     return np.where(rho > 0.0, np.ceil(_LOG_EPS / np.log(safe)), 0.0).astype(np.intp)
 
 
@@ -105,20 +111,30 @@ def _newton_table(g, t, n):
     """Divided differences of g over every ascending (n+1)-index tuple into
     the rows of t (B, d), by the module rule. Level 0 is g at every node;
     level j takes each tuple's two parents from level j-1, the tuple
-    without its last and without its first index. Returns the top level's
-    tuples, shape (C, n+1), and table, shape (B, C)."""
+    without its last and without its first index. A g whose max_order is
+    below n raises OrderSupportError first. Returns the top level's
+    insertion map ins (d, C'), ins[v, r] = the rank of the level-(n-1)
+    tuple r with v added, the rank map of level n-1, (d,) * n, symmetric
+    (valid at every index order), and the complex table (B, C): entry
+    T[:, i0, ..., in] of the tensor is table[:, ins[i0, sym[i1, ..., in]]]."""
+    g.check_order(n, "divided differences")
     d = t.shape[1]
+    # level -1 holds the empty tuple
     table, tuples = g.values(t), np.arange(d)[:, None]
+    sym, ins = np.zeros((), dtype=np.intp), tuples
     band, limit = (1.0, TAYLOR_SPAN) if g.bandwidth is None else (g.bandwidth, BAND_TAYLOR_SPAN)
     for j in range(1, n + 1):
-        # dense rank map of the level below; the top level's, d^(n+1) entries, is never built
-        rank = np.empty((d,) * j, dtype=np.intp)
-        rank[tuple(tuples.T)] = np.arange(len(tuples))
+        # gathers only: the top level's map, d^(n+1) entries, is never built
+        sym, ins = ins.T[sym], np.empty((d, len(tuples)), dtype=np.intp)
         tuples = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d), j + 1)),
             dtype=np.intp,
         ).reshape(-1, j + 1)
-        lo, hi = rank[tuple(tuples[:, :-1].T)], rank[tuple(tuples[:, 1:].T)]
+        # parents[k] = the rank of each tuple without its k-th index
+        parents = [sym[tuple(tuples[:, i] for i in range(j + 1) if i != k)] for k in range(j + 1)]
+        for k, parent in enumerate(parents):
+            ins[tuples[:, k], parent] = np.arange(len(tuples))
+        lo, hi = parents[-1], parents[0]
         first, last = t[:, tuples[:, 0]], t[:, tuples[:, -1]]
         span = last - first
         reach = band * np.abs(span)
@@ -129,31 +145,27 @@ def _newton_table(g, t, n):
             taylor &= (j + terms <= g.max_order) | close
             terms = np.minimum(terms, g.max_order - j)
         table = (table[:, hi] - table[:, lo]) / np.where(taylor, 1.0, span)
-        if taylor.any():
-            row, col = np.nonzero(taylor)
-            nodes = t[row[:, None], tuples[col]]
-            table[row, col] = _taylor(g, nodes, j, terms[row, col], table.dtype)
-    return tuples, table
+        row, col = np.nonzero(taylor)
+        for s in range(0, len(row), SLAB_ENTRIES):
+            r, c = row[s : s + SLAB_ENTRIES], col[s : s + SLAB_ENTRIES]
+            table[r, c] = _taylor(g, t[r[:, None], tuples[c]], j, terms[r, c], table.dtype)
+    return ins, sym, table.astype(np.complex128, copy=False)
+
+
+def _gather(ins, sym, table, a):
+    """Tensor entries T[:, a] for a slice a of leading indices, from
+    _newton_table's result: shape (B, len(a)) + (d,) * n."""
+    return table[:, ins[a][:, sym]]
 
 
 def chain_tensor(nodes, n, g):
     """Tensors of divided differences of g over all (n+1)-index chains of
     each row of the (B, d) array nodes, by the module rule; shape
     (B,) + (d,) * (n+1). Divided differences are symmetric, so the table
-    holds every ascending index tuple once, and its top level's values are
-    scattered to every permutation of the tensor axes. A g whose max_order
-    is below n raises OrderSupportError first."""
-    g.check_order(n, "divided differences")
-    b, d = nodes.shape
-    tuples, vals = _newton_table(g, nodes, n)
-    # cols[k] = the k-th index of every chain, contiguous: the scatter at
-    # d = 32, n = 4 takes about a quarter less time than from strided columns
-    cols = tuples.T.copy()
-    tensor = np.empty((b,) + (d,) * (n + 1), dtype=np.complex128)
-    point = np.arange(b)[:, None]
-    for perm in itertools.permutations(range(n + 1)):
-        tensor[(point, *(cols[k] for k in perm))] = vals
-    return tensor
+    holds every ascending index tuple once and every entry is gathered
+    from it through the symmetric rank maps. A g whose max_order is below
+    n raises OrderSupportError first."""
+    return _gather(*_newton_table(g, nodes, n), slice(None))
 
 
 def to_eigenbasis(vectors, dirs):
@@ -172,13 +184,13 @@ def derivative_matrix(lam, vectors, dirs, g):
     direction orderings, rotate back."""
     b, n, d = dirs.shape[0], dirs.shape[1], lam.shape[1]
     w = to_eigenbasis(vectors, dirs)
-    tensor = chain_tensor(lam, n, g)
     if n == 0:
         core = np.zeros((b, d, d), dtype=np.complex128)
-        core[:, np.arange(d), np.arange(d)] = tensor
+        core[:, np.arange(d), np.arange(d)] = chain_tensor(lam, n, g)
     elif n == 1:
-        core = w[:, 0] * tensor
+        core = w[:, 0] * chain_tensor(lam, n, g)
     else:
+        newton = _newton_table(g, lam, n)
         # Sum over orderings by subsets, as expderiv._mc_sum does per
         # sample: paths[mask] holds, summed over the orderings of the j
         # directions in mask, V_1[i0, i1] ... V_j[i(j-1), ij].
@@ -192,12 +204,14 @@ def derivative_matrix(lam, vectors, dirs, g):
                     if nxt.setdefault(key, term) is not term:
                         nxt[key] += term
             paths = nxt
-        # the one direction each path misses closes it inside the contraction
-        t, full = tensor.reshape(b, d, -1, d, d), (1 << n) - 1
-        core = sum(
-            np.einsum(
-                "zamc,zcb,zamcb->zab", p.reshape(b, d, -1, d), w[:, (full ^ m).bit_length() - 1], t
+        # the one direction each path misses closes it inside the
+        # contraction, block by block of leading indices a
+        ends = {m: w[:, ((1 << n) - 1 ^ m).bit_length() - 1] for m in paths}
+        core, step = np.empty((b, d, d), dtype=np.complex128), max(1, SLAB_ENTRIES // (b * d**n))
+        for a in (slice(a0, a0 + step) for a0 in range(0, d, step)):
+            t = _gather(*newton, a).reshape(b, -1, d ** (n - 2), d, d)
+            core[:, a] = sum(
+                np.einsum("zamc,zcb,zamcb->zab", p.reshape(b, d, -1, d)[:, a], ends[m], t)
+                for m, p in paths.items()
             )
-            for m, p in paths.items()
-        )
     return vectors @ core @ vectors.conj().swapaxes(-1, -2)

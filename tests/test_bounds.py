@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hermcalc import bounds, rng
+from hermcalc import bounds, divided, rng
 from hermcalc.bounds import (
     CSV_HEADER,
     bound_report,
@@ -217,7 +217,7 @@ def test_probe_stack_size_bounds_memory(monkeypatch):
     assert bounds._stack_size(32, 4) == 1
     # stacks of one candidate give the same estimate as stacks of many
     a = probe_seminorm(GaussianFunction(), 2, 1.0, 4, budget=20, seed=3, climb_steps=5)
-    monkeypatch.setattr(bounds, "PROBE_STACK_ENTRIES", 1)
+    monkeypatch.setattr(divided, "SLAB_ENTRIES", 1)
     assert bounds._stack_size(4, 2) == 1
     b = probe_seminorm(GaussianFunction(), 2, 1.0, 4, budget=20, seed=3, climb_steps=5)
     assert a.value == b.value and _witness_digest(a) == _witness_digest(b)
@@ -287,7 +287,7 @@ def _windows(accepted, steps, cap):
 
 
 def _cap_entries(cap, d, n):
-    return bounds.PROBE_STACK_ENTRIES if cap is None else cap * d ** (n + 1)
+    return divided.SLAB_ENTRIES if cap is None else cap * d ** (n + 1)
 
 
 @pytest.mark.parametrize("cap", CLIMB_CAPS)
@@ -302,7 +302,7 @@ def test_speculative_climb_equals_sequential_climb(kind, cap, monkeypatch):
     monkeypatch.setattr(bounds, "_evaluate", spy)
     for d, n, seed in CLIMB_SHAPES:
         digests, accepted = _reference(kind, d, n, seed)
-        monkeypatch.setattr(bounds, "PROBE_STACK_ENTRIES", _cap_entries(cap, d, n))
+        monkeypatch.setattr(divided, "SLAB_ENTRIES", _cap_entries(cap, d, n))
         size = bounds._stack_size(d, n)
         assert cap is None or size == cap
         for steps in CLIMB_COUNTS:

@@ -8,14 +8,15 @@ entry what the table gives over that chain's own nodes, to the bit.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hermcalc import rng
+from hermcalc import divided, rng
 from hermcalc.divided import chain_tensor, derivative_matrix
 from hermcalc.functions import ExpFunction, GaussianFunction, MonomialFunction, SinFunction
-from hermcalc.spectral import fourier_table
+from hermcalc.spectral import fourier_table, function_derivative_dd
 
 
 def _points(d, n, count, seed):
@@ -59,6 +60,11 @@ def test_chain_tensor_stack_is_symmetric_per_row():
     assert tensor.shape == (2, 4, 4, 4)
     np.testing.assert_array_equal(tensor, tensor.transpose(0, 3, 1, 2))
     np.testing.assert_array_equal(tensor, tensor.transpose(0, 2, 1, 3))
+    lam = np.sort(np.random.default_rng(4).uniform(-1, 1, (2, 5)), axis=1)
+    tensor = chain_tensor(lam, 4, GaussianFunction())
+    assert tensor.shape == (2,) + (5,) * 5
+    for perm in itertools.permutations(range(1, 6)):
+        np.testing.assert_array_equal(tensor, tensor.transpose(0, *perm))
 
 
 def _random_and_clustered_rows(d, seed):
@@ -98,3 +104,112 @@ def test_tensor_entry_equals_chain_dd_on_its_chain(name, n, d):
     for b in range(2):
         want = chain_dd(g, nodes[b, chains])
         np.testing.assert_array_equal(tensor[b][tuple(chains.T)], want)
+
+
+def _scattered_tensor(nodes, n, g):
+    """The tensor built whole, as before the gathers: the table's top level
+    written to all (n+1)! axis orders of a (B,) + (d,)^(n+1) array."""
+    b, d = nodes.shape
+    vals = divided._newton_table(g, nodes, n)[2]
+    cols = np.array(list(itertools.combinations_with_replacement(range(d), n + 1))).T
+    tensor = np.empty((b,) + (d,) * (n + 1), dtype=np.complex128)
+    for perm in itertools.permutations(range(n + 1)):
+        tensor[(np.arange(b)[:, None], *(cols[k] for k in perm))] = vals
+    return tensor
+
+
+def _whole_contraction(lam, vectors, dirs, g):
+    """derivative_matrix as one einsum over the whole scattered tensor."""
+    b, n, d = dirs.shape[0], dirs.shape[1], lam.shape[1]
+    w = divided.to_eigenbasis(vectors, dirs)
+    tensor = _scattered_tensor(lam, n, g)
+    if n == 0:
+        core = np.zeros((b, d, d), dtype=np.complex128)
+        core[:, np.arange(d), np.arange(d)] = tensor
+    elif n == 1:
+        core = w[:, 0] * tensor
+    else:
+        paths = {0: np.ones((b, d))}
+        for _ in range(n - 1):
+            nxt = {}
+            for mask, p in paths.items():
+                for k in (k for k in range(n) if not mask >> k & 1):
+                    term = p[..., None] * w[:, k].reshape((b,) + (1,) * (p.ndim - 2) + (d, d))
+                    key = mask | 1 << k
+                    if nxt.setdefault(key, term) is not term:
+                        nxt[key] += term
+            paths = nxt
+        t, full = tensor.reshape(b, d, -1, d, d), (1 << n) - 1
+        core = sum(
+            np.einsum(
+                "zamc,zcb,zamcb->zab", p.reshape(b, d, -1, d), w[:, (full ^ m).bit_length() - 1], t
+            )
+            for m, p in paths.items()
+        )
+    return vectors @ core @ vectors.conj().swapaxes(-1, -2)
+
+
+def _rows_and_points(d, n, b, seed):
+    """b ascending rows (spread, 1e-7 pairs, and integer ties two apart)
+    with eigenvectors and directions of b random points."""
+    rows = _random_and_clustered_rows(d, seed)
+    rows = np.concatenate([rows, 2.0 * np.round(rows[:1])])[:b]
+    xs, dirs = _points(d, n, b, seed)
+    return rows, np.linalg.eigh(xs)[1], dirs
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_CASES))
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 16])
+def test_gathered_blocks_equal_the_scattered_tensor(name, n, d):
+    # (16, 3) at B = 3 takes blocks of 5, 5, 5 and 1 leading indices, (16, 4) one at a time
+    g, z = TUPLE_CASES[name]
+    for b in (1, 3):
+        rows, vectors, dirs = _rows_and_points(d, n, b, seed=7 * d + n)
+        lam = z * rows
+        want = _scattered_tensor(lam, n, g)
+        assert chain_tensor(lam, n, g).tobytes() == want.tobytes()
+        got = derivative_matrix(lam, vectors, dirs, g)
+        assert got.tobytes() == _whole_contraction(lam, vectors, dirs, g).tobytes(), b
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_CASES))
+def test_slab_budget_only_regroups_the_work(name, monkeypatch):
+    g, z = TUPLE_CASES[name]
+    taylor, chunks = divided._taylor, []
+
+    def spy(g, nodes, *args):
+        chunks.append(len(nodes))
+        return taylor(g, nodes, *args)
+
+    for d, n in ((8, 4), (16, 3)):
+        rows, vectors, dirs = _rows_and_points(d, n, 2, seed=d + n)
+        lam = z * rows
+        whole = derivative_matrix(lam, vectors, dirs, g), chain_tensor(lam, n, g)
+        # blocks of 3 leading indices, the last partial; then one index at a
+        # time with the Taylor entries of each level in chunks of 16
+        for budget in (3 * 2 * d**n, 16):
+            chunks.clear()
+            with monkeypatch.context() as m:
+                m.setattr(divided, "SLAB_ENTRIES", budget)
+                m.setattr(divided, "_taylor", spy)
+                split = derivative_matrix(lam, vectors, dirs, g), chain_tensor(lam, n, g)
+            assert split[0].tobytes() == whole[0].tobytes(), (d, n, budget)
+            assert split[1].tobytes() == whole[1].tobytes(), (d, n, budget)
+            assert max(chunks) <= budget
+        # the Taylor entries of some level took more than one chunk
+        assert max(chunks) == 16
+
+
+def test_derivative_memory_stays_below_the_whole_tensor():
+    # the (16,)^5 complex tensor alone is 16 MB; the gathered blocks are 1 MB each
+    gen = np.random.default_rng(61)
+    x = rng.random_hermitian(16, gen)
+    dirs = [rng.random_hermitian(16, gen) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        function_derivative_dd(GaussianFunction(), x, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
