@@ -12,8 +12,8 @@ the tensor of divided differences over eigenvalue chains:
         V1[i0, i1] ... Vn[i(n-1), in] * g[lam_i0, ..., lam_in]
 
 summed over all orderings of the directions. derivative_matrix sums them by
-subsets, as the Monte Carlo kernel does, and folds the last direction into
-the contraction with the tensor, so its path sums hold d^n entries per
+subsets, as the Monte Carlo subset kernel does, and folds the last direction
+into the contraction with the tensor, so its path sums hold d^n entries per
 point. The tensor, (B,) + (d,)^(n+1), is never built whole: it is gathered
 from the table and contracted one block of leading indices at a time, a
 block holding at most SLAB_ENTRIES entries (chain_tensor gathers it whole).
@@ -57,8 +57,10 @@ from math import factorial
 import numpy as np
 
 # entries per slab (1 MB complex): a probe stack's B d^(n+1), a leading-index
-# block's B d^n (a1 - a0), a chunk of one level's Taylor entries
+# block's B d^n (a1 - a0), a chunk of one level's Taylor entries, whose entries
+# times terms Q + 1 stay within TAYLOR_TERM_ENTRIES (19784 entries at Q = 52)
 SLAB_ENTRIES = 1 << 16
+TAYLOR_TERM_ENTRIES = 1 << 20
 TAYLOR_SPAN = 1.0
 BAND_TAYLOR_SPAN = 4.0
 _EPS = float(np.finfo(float).eps)
@@ -146,8 +148,9 @@ def _newton_table(g, t, n):
             terms = np.minimum(terms, g.max_order - j)
         table = (table[:, hi] - table[:, lo]) / np.where(taylor, 1.0, span)
         row, col = np.nonzero(taylor)
-        for s in range(0, len(row), SLAB_ENTRIES):
-            r, c = row[s : s + SLAB_ENTRIES], col[s : s + SLAB_ENTRIES]
+        step = min(SLAB_ENTRIES, TAYLOR_TERM_ENTRIES // (int(terms[row, col].max(initial=0)) + 1))
+        for s in range(0, len(row), step):
+            r, c = row[s : s + step], col[s : s + step]
             table[r, c] = _taylor(g, t[r[:, None], tuples[c]], j, terms[r, c], table.dtype)
     return ins, sym, table.astype(np.complex128, copy=False)
 

@@ -7,15 +7,17 @@ point applied to direction matrices:
     differences of exp over eigenvalue chains.
   * exp_derivative_mc: Monte-Carlo quadrature of the simplex integral
     sum over orderings of exp(t0 x) v exp(t1 x) ... exp(tn x), with the
-    simplex carrying total mass 1/n!, each batch of samples joined in one
-    GEMM over the sample axis per subset of directions (see _mc_sum).
+    simplex carrying total mass 1/n!: one GEMM over the sample axis forms a
+    batch's moments, the directions applied after the sample sum (see
+    _mc_moment), or, where those are too many, one per subset (_mc_sum).
 
 Both accept a complex scale factor z and differentiate at z*x; the dd
 route takes the divided differences over the complex nodes z lam.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
@@ -30,8 +32,10 @@ EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
 SIMPLEX_MAX_N = 8
 EXP_ARG_LIMIT = 700.0
-# (sample, row, column) entries per array of an MC sub-block (512 KB complex):
-# keeps the GEMMs in cache and bounds memory; draws and batches do not depend on it.
+# MC: the moment kernel's largest d^(n+1); L, R and M entries per moment call (1 MB
+# real) and entries per subset sub-block array (512 KB complex), to keep GEMMs in cache
+MC_MOMENT_ENTRIES = 1 << 16
+MC_GROUP_ENTRIES = 1 << 17
 MC_SUB_ENTRIES = 1 << 15
 
 
@@ -123,28 +127,46 @@ def _real_gemm(a, w):
     return (a @ w.view(np.float64)).view(np.complex128)
 
 
-def _mc_sum(ex, dirs_eig, pairs):
-    """The eigenbasis chain sums, summed over orderings, of diag(ex_0) V_1
-    diag(ex_1) ... V_n diag(ex_n) / n!, summed over a sub-block of samples;
-    ex is laid out (level, sample, eigenvalue). Up to level n - 1 the
-    orderings are summed over subsets per sample, as divided.derivative_matrix
-    does without the diagonals: level[mask] (sample, row, column) holds,
-    summed over the orderings of the j directions in mask, V_1 diag(ex_1) V_2
-    ... diag(ex_j-1) V_j / n!. Level 2 is ex_1 times pairs[1 << k | 1 << l]
-    [i, a, m] = (V_k[a, i] V_l[i, m] + V_l[a, i] V_k[i, m]) / n!. The last
-    direction k, the outer diagonals and the sum over samples are one GEMM
-    over the sample axis per level-(n - 1) mask: G[c, a, m] = sum_s
-    ex_n[s, c] ex_0[s, a] F[s, a, m] ex_n-1[s, m], and Y[a, c] = sum_m
-    G[c, a, m] V_k[m, c]. For n <= 2 the level-(n - 1) factors are constant."""
-    n, s, d = ex.shape[0] - 1, ex.shape[1], ex.shape[2]
+def _mc_weights(dirs_eig):
+    """W = sum_s V_s1[i0, i1] ... V_sn[i(n-1), in] / n!, (re, im) as (2, d, d^(n-1), d)."""
+    w = sum(reduce(lambda c, v: c[..., None] * v, order) for order in permutations(dirs_eig))
+    return np.stack([w.real, w.imag]).reshape(2, len(w), -1, len(w)) / factorial(len(dirs_eig))
+
+
+def _kron_rows(factors):
+    """Row-wise Kronecker products (einsum: half the time of broadcasting)."""
+    return reduce(lambda a, b: np.einsum("...i,...j", a, b).reshape(*a.shape[:-1], -1), factors)
+
+
+def _mc_moment(ex, w):
+    """Per batch, the sum over its samples of the eigenbasis chains diag(ex_0)
+    V_1 ... V_n diag(ex_n) / n! summed over orderings, ex (level, batch, sample,
+    eigenvalue): the moments M[i0..in] = sum_s ex_0[s, i0] ... ex_n[s, in] are
+    one GEMM over the sample axis, L^T R, with rows the Kronecker products of
+    ex_0..ex_h-1 and ex_h..ex_n, h = (n + 1) // 2; Y[a, c] = sum_mid M[a, mid,
+    c] W[a, mid, c], over W's parts if M is real. n = 0 is the diagonal."""
+    n, k, d = ex.shape[0] - 1, ex.shape[1], ex.shape[3]
     if n == 0:
-        return np.diag(ex[0].sum(axis=0))
-    if n == 1:
-        return dirs_eig[0] * (ex[0].T @ ex[1])
+        return ex[0].sum(axis=1)[:, :, None] * np.eye(d)
+    h = (n + 1) // 2
+    m = (_kron_rows(ex[:h]).swapaxes(1, 2) @ _kron_rows(ex[h:])).reshape(k, d, -1, d)
+    if m.dtype == np.complex128:
+        return np.einsum("zamc,amc->zac", m, w[0] + 1j * w[1])
+    y = np.einsum("zamc,xamc->zxac", m, w)
+    return y[:, 0] + 1j * y[:, 1]
+
+
+def _mc_sum(ex, dirs_eig, pairs):
+    """The subset kernel (n >= 3 only): _mc_moment's chains summed over a
+    sub-block of samples, ex (level, sample, eigenvalue). Per sample, level[mask]
+    sums V_1 diag(ex_1) ... V_j / n! over the orderings of the j directions in
+    mask, from level 2, ex_1 times pairs[1 << k | 1 << l][i, a, m] = (V_k[a, i]
+    V_l[i, m] + V_l[a, i] V_k[i, m]) / n!, to level n - 1. One GEMM over the
+    sample axis per mask then joins the last direction k, the outer diagonals
+    and the sample sum: G[c, a, m] = sum_s ex_n[s, c] ex_0[s, a] F[s, a, m]
+    ex_n-1[s, m], Y[a, c] = sum_m G[c, a, m] V_k[m, c]."""
+    n, s, d = ex.shape[0] - 1, ex.shape[1], ex.shape[2]
     outer = ex[0][:, :, None] * ex[n - 1][:, None, :]
-    if n == 2:
-        g = ex[2].T @ outer.reshape(s, -1)
-        return np.einsum("cam,mac->ac", g.reshape(d, d, d), pairs[3])
     level = {m: _real_gemm(ex[1], p.reshape(d, -1)).reshape(s, d, d) for m, p in pairs.items()}
     # each level array is read once, so the diagonals scale it in place
     for j in range(2, n - 1):
@@ -170,10 +192,10 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     errors: uniform simplex samples, E[integrand] / n! summed over direction
     orderings. Each 4096-sample block is summed in batches of
     b = min(256, max(1, samples // 64)) samples, the last one of a block
-    possibly partial, and each batch sum is rotated back once; std_error is
-    the batch-means estimate sqrt(sum_k n_k |m_k - m|^2 / ((K - 1) N)) over
-    the K batches, the per-sample one for b = 1. Bit-reproducible; threads
-    is accepted and ignored."""
+    possibly partial, by _mc_moment where d^(n+1) <= MC_MOMENT_ENTRIES, else
+    by _mc_sum; the block is merged by Chan's parallel update. std_error is
+    the batch-means estimate sqrt(sum_k n_k |m_k - m|^2 / ((K - 1) N)) over the
+    K batches, per sample for b = 1. Bit-reproducible; threads is ignored."""
     h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
     samples = int(samples)
@@ -190,24 +212,34 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     }
     batch = min(256, max(1, samples // 64))
     sub = min(batch, MC_SUB_ENTRIES // (d * d))
+    moment = n < 3 or d ** (n + 1) <= MC_MOMENT_ENTRIES
+    w = _mc_weights(dirs_eig) if moment and n else None
+    entries = batch * (d ** ((n + 1) // 2) + d ** (n // 2 + 1)) + d ** (n + 1)
+    group = batch * max(1, MC_GROUP_ENTRIES // entries) if moment else batch
     z = scale.real if scale.imag == 0 else scale
     total = np.zeros((d, d), dtype=np.complex128)
     m2 = done = batches = 0
     for block, count in rng.blocks(samples):
         e = rng.generator(seed, rng.STREAM_SIMPLEX, block).standard_exponential((count, n + 1))
         t = e / e.sum(axis=1, keepdims=True)
-        ex = np.exp(z * np.multiply.outer(t.T, dec.eigenvalues))
-        for lo in range(0, count, batch):
-            hi = min(lo + batch, count)
-            subs = (ex[:, i : min(i + sub, hi)] for i in range(lo, hi, sub))
-            y = sum(_mc_sum(part, dirs_eig, pairs) for part in subs)
-            y, size = u @ y @ u.conj().T, hi - lo
-            if done:  # Chan's update of sum_k n_k |m_k - m|^2, the batch as one point
-                dev = y / size - total / done
-                m2 = m2 + (dev.real**2 + dev.imag**2) * (size * done / (done + size))
-            total += y
-            done += size
-            batches += 1
+        ex = np.exp(z * np.einsum("ls,e->lse", t.T, dec.eigenvalues, order="C"))
+        # spans [a, b) of whole batches, then the block's partial batch
+        cuts = [*range(0, count - count % batch, group), count - count % batch, count]
+        spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+        if moment:
+            parts = (ex[:, a:b].reshape(n + 1, -1, min(batch, b - a), d) for a, b in spans)
+            y = np.concatenate([_mc_moment(part, w) for part in parts])
+        else:
+            y = np.array([
+                sum(_mc_sum(ex[:, i : min(i + sub, b)], dirs_eig, pairs) for i in range(a, b, sub))
+                for a, b in spans
+            ])
+        # Chan's parallel update, the samples before the block taken as one more batch
+        size = np.append(np.minimum(batch, count - batch * np.arange(len(y))), done)[:, None, None]
+        y = np.concatenate([u @ y @ u.conj().T, total[None]])
+        total, done, batches = y.sum(axis=0), done + count, batches + len(y) - 1
+        dev = y / np.maximum(size, 1) - total / done
+        m2 = m2 + (size * (dev.real**2 + dev.imag**2)).sum(axis=0)
     return MultilinearDerivative(
         matrix=total / samples,
         order=n,

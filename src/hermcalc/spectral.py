@@ -97,7 +97,6 @@ class FourierTable(ScalarFunction):
     weights: np.ndarray
     n_max: int
     tail_fraction: float
-    recon_residual: float
     nt: int
 
     def __post_init__(self):
@@ -113,6 +112,14 @@ class FourierTable(ScalarFunction):
         # so a node's value does not depend on how many others share the call
         vals = np.einsum("us,sq->uq", np.exp(1j * np.outer(u, self.s)), weights)
         return vals[inverse.reshape(-1)].reshape(np.shape(t) + (q + 1,))
+
+    def recon_residual(self, g):
+        """The reconstruction check of a table built from g, on demand: max
+        |g~(p) - g(p)| over 41 probes p on [-r, r], summed one probe at a time
+        (all 41 rows at once take 108 MB per matrix at r = 100)."""
+        probes = np.linspace(-self.radius, self.radius, 41)
+        recon = np.array([np.exp(1j * (p * self.s)) @ self.coeffs for p in probes])
+        return float(np.max(np.abs(recon - g.eval_derivative(probes, 0))))
 
 
 def _transform_on_grid(g, r, m, s_reach):
@@ -193,12 +200,6 @@ def fourier_table(g, r, n_max=2):
             )
         s, ghat, ws, mass, nt = wider
 
-    probes = np.linspace(-r, r, 41)
-    # one probe at a time: all 41 rows at once take 108 MB per matrix at r = 100
-    wg = ws * ghat
-    recon = np.array([np.exp(1j * (p * s)) @ wg for p in probes])
-    gvals = np.asarray(g.eval_derivative(probes, 0), dtype=np.complex128)
-    residual = float(np.max(np.abs(recon - gvals)))
     return FourierTable(
         g_label=g.label(),
         radius=float(r),
@@ -207,7 +208,6 @@ def fourier_table(g, r, n_max=2):
         weights=ws,
         n_max=int(n_max),
         tail_fraction=tail_fraction,
-        recon_residual=residual,
         nt=int(nt),
     )
 

@@ -213,3 +213,20 @@ def test_derivative_memory_stays_below_the_whole_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_taylor_chunks_are_sized_by_terms():
+    # at norm 1/2 every span is at most 1, so all 15504 top-level entries of
+    # monomial:170 at d = 16, n = 4 take the Taylor series with 167 terms:
+    # one chunk of them peaked at 64 MiB, chunks of 2^20 / 167 entries at 29
+    gen = np.random.default_rng(62)
+    x = rng.random_hermitian(16, gen)
+    x *= 0.5 / np.linalg.norm(x, 2)
+    dirs = [rng.random_hermitian(16, gen) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        function_derivative_dd(MonomialFunction(170), x, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20

@@ -242,12 +242,15 @@ def test_mc_matches_per_sample_reference(d, scale):
 
 @pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
 def test_mc_sub_blocks_only_regroup_the_sums(monkeypatch, scale):
-    # with room for 7 samples per sub-block, each batch of 78 is summed in
-    # 12 pieces; the estimate and its standard error move by rounding only
+    # on the subset kernel, which serves n >= 3 (MC_MOMENT_ENTRIES = 0 sends
+    # every such shape there), with room for 7 samples per sub-block each
+    # batch of 78 is summed in 12 pieces; the estimate and its standard
+    # error move by rounding only
     gen = np.random.default_rng(54)
     x = random_hermitian(gen, 5)
     kernel, sizes = expderiv._mc_sum, []
-    for n in range(5):
+    monkeypatch.setattr(expderiv, "MC_MOMENT_ENTRIES", 0)
+    for n in (3, 4):
         dirs = [random_hermitian(gen, 5) for _ in range(n)]
         whole = exp_derivative_mc(x, dirs, samples=5000, seed=22, scale=scale)
         with monkeypatch.context() as m:
@@ -258,6 +261,101 @@ def test_mc_sub_blocks_only_regroup_the_sums(monkeypatch, scale):
         assert np.max(np.abs(split.matrix - whole.matrix)) <= tol
         assert np.max(np.abs(split.std_error - whole.std_error)) <= tol
     assert max(sizes) == 7
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
+def test_mc_batch_groups_only_regroup_the_sums(monkeypatch, scale):
+    # 5000 samples in batches of 78: 52 whole batches and one of 40 in the
+    # first block, 11 and one of 46 in the second. With room for 3 batches
+    # per moment-kernel call instead of all of a block's, the estimate and
+    # its standard error move by rounding only
+    gen = np.random.default_rng(55)
+    x = random_hermitian(gen, 5)
+    kernel, groups = expderiv._mc_moment, []
+    for n in range(5):
+        dirs = [random_hermitian(gen, 5) for _ in range(n)]
+        whole = exp_derivative_mc(x, dirs, samples=5000, seed=23, scale=scale)
+        h = (n + 1) // 2
+        per_batch = 78 * (5**h + 5 ** (n + 1 - h)) + 5 ** (n + 1)
+        groups.clear()
+        with monkeypatch.context() as m:
+            m.setattr(expderiv, "MC_GROUP_ENTRIES", 3 * per_batch)
+            m.setattr(
+                expderiv, "_mc_moment", lambda *a: groups.append(a[0].shape[1:3]) or kernel(*a)
+            )
+            split = exp_derivative_mc(x, dirs, samples=5000, seed=23, scale=scale)
+        tol = 1e-12 * np.max(np.abs(whole.matrix))
+        assert np.max(np.abs(split.matrix - whole.matrix)) <= tol
+        assert np.max(np.abs(split.std_error - whole.std_error)) <= tol
+        # 17 groups of 3 batches and one of 1, then 3 of 3 and one of 2 whole
+        # batches, each block closed by its partial batch
+        assert groups == [(3, 78)] * 17 + [(1, 78), (1, 40)] + [(3, 78)] * 3 + [(2, 78), (1, 46)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j, 3.3j])
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_moment_and_subset_kernels_agree(monkeypatch, d, scale):
+    # MC_MOMENT_ENTRIES = 0 sends every n >= 3 shape to the subset kernel;
+    # n <= 2 has the moment kernel only, whatever the threshold
+    gen = np.random.default_rng(56 + d)
+    x = random_hermitian(gen, d)
+    x *= 1.5 / op_norm(x)
+    moment, subset = expderiv._mc_moment, expderiv._mc_sum
+    for n in range(1, 5):
+        dirs = [random_hermitian(gen, d) for _ in range(n)]
+        calls = []
+        monkeypatch.setattr(expderiv, "_mc_moment", lambda *a: calls.append("moment") or moment(*a))
+        monkeypatch.setattr(expderiv, "_mc_sum", lambda *a: calls.append("subset") or subset(*a))
+        a = exp_derivative_mc(x, dirs, samples=5000, seed=24, scale=scale)
+        with monkeypatch.context() as m:
+            m.setattr(expderiv, "MC_MOMENT_ENTRIES", 0)
+            b = exp_derivative_mc(x, dirs, samples=5000, seed=24, scale=scale)
+        assert set(calls) == ({"moment"} if n <= 2 else {"moment", "subset"})
+        tol = 1e-12 * np.max(np.abs(a.matrix))
+        assert np.max(np.abs(a.matrix - b.matrix)) <= tol
+        assert np.max(np.abs(a.std_error - b.std_error)) <= tol
+
+
+class _Chosen(Exception):
+    pass
+
+
+def test_mc_kernel_by_shape(monkeypatch):
+    # the moment kernel wherever its tensor has d^(n+1) <= 2^16 entries: the
+    # bench's shapes (d in {4, 8}, n in {2, 3}) and every cap shape but
+    # (32, 3), (16, 4) and (32, 4), where the subset kernel runs
+    def chosen(name):
+        def stop(*args):
+            raise _Chosen(name)
+
+        return stop
+
+    monkeypatch.setattr(expderiv, "_mc_moment", chosen("moment"))
+    monkeypatch.setattr(expderiv, "_mc_sum", chosen("subset"))
+    gen = np.random.default_rng(57)
+    for d in (4, 8, 16, 32):
+        x = random_hermitian(gen, d)
+        for n in range(5):
+            dirs = [random_hermitian(gen, d) for _ in range(n)]
+            with pytest.raises(_Chosen) as took:
+                exp_derivative_mc(x, dirs, samples=100000, seed=1)
+            subset = (d, n) in ((32, 3), (16, 4), (32, 4))
+            assert str(took.value) == ("subset" if subset else "moment"), (d, n)
+
+
+@pytest.mark.parametrize("d, n", [(16, 3), (8, 4)])
+def test_mc_memory_of_the_moment_kernel(d, n):
+    # its largest shapes stay within the bound of the cap shape's subset path
+    gen = np.random.default_rng(58)
+    x = random_hermitian(gen, d)
+    dirs = [random_hermitian(gen, d) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        exp_derivative_mc(x, dirs, samples=10000, seed=4, scale=0.7 - 0.4j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_simplex_volume_reference_values():

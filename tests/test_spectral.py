@@ -394,7 +394,7 @@ def test_fourier_table_memory_at_the_radius_cap():
     # complex matrix of the 164,609-node sin table at r = 100 alone is 108 MB
     tracemalloc.start()
     try:
-        fourier_table(SinFunction(), 100.0, n_max=3)
+        fourier_table(SinFunction(), 100.0, n_max=3).recon_residual(SinFunction())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,7 +404,7 @@ def test_fourier_table_memory_at_the_radius_cap():
 def test_fourier_table_diagnostics(gaussian_table):
     t = gaussian_table
     assert t.tail_fraction < 1e-8
-    assert t.recon_residual < 1e-8
+    assert t.recon_residual(GaussianFunction()) < 1e-8
     assert t.n_max == 2
     # grid stayed at the base extent, no doubling escalation
     assert t.s[-1] <= 641.0
