@@ -31,6 +31,7 @@ from .selftest import run_selftest
 from .spectral import (
     FOURIER_TAIL_TOL,
     apply_function,
+    check_fourier_ball,
     fourier_table,
     function_derivative_dd,
     function_derivative_fourier,
@@ -148,6 +149,7 @@ def cmd_deriv(args):
         }
     elif method == "fourier":
         check_derivative_args(x, dirs)  # reject bad input before building the table
+        check_fourier_ball(args.radius, x.eig().eigenvalues)
         table = fourier_table(g, args.radius, n_max=n)
         der = function_derivative_fourier(table, x, dirs)
         result = der.matrix

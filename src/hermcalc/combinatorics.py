@@ -35,18 +35,11 @@ def enum_compositions(n, k):
         raise CapExceededError(
             f"enum_compositions: {total} tuples exceeds cap {COMPOSITION_MAX_COUNT}"
         )
-
-    out = []
-
-    def rec(prefix, slots, left):
-        if slots == 1:
-            out.append(prefix + (left,))
-            return
-        for head in range(left + 1):
-            rec(prefix + (head,), slots - 1, left - head)
-
-    rec((), n + 1, k)
-    return out
+    # stars and bars: n bars among n + k slots, the parts the gaps between them
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + k)))
+        for bars in itertools.combinations(range(n + k), n)
+    ]
 
 
 def enum_permutations(n):

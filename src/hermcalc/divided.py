@@ -12,11 +12,11 @@ the tensor of divided differences over eigenvalue chains:
         V1[i0, i1] ... Vn[i(n-1), in] * g[lam_i0, ..., lam_in]
 
 summed over all orderings of the directions. derivative_matrix sums them by
-subsets, as the Monte Carlo subset kernel does, and folds the last direction
-into the contraction with the tensor, so its path sums hold d^n entries per
-point. The tensor, (B,) + (d,)^(n+1), is never built whole: it is gathered
-from the table and contracted one block of leading indices at a time, a
-block holding at most SLAB_ENTRIES entries (chain_tensor gathers it whole).
+subsets of the directions and folds the last direction into the contraction
+with the tensor, so its path sums hold d^n entries per point. The tensor,
+(B,) + (d,)^(n+1), is never built whole: it is gathered from the table and
+contracted one block of leading indices at a time, a block holding at most
+SLAB_ENTRIES entries (chain_tensor gathers it whole).
 
 One Newton table computes those values. It runs over ascending index
 tuples into the rows of an array t of nodes: ascending eigenvalues, or
@@ -194,9 +194,9 @@ def derivative_matrix(lam, vectors, dirs, g):
         core = w[:, 0] * chain_tensor(lam, n, g)
     else:
         newton = _newton_table(g, lam, n)
-        # Sum over orderings by subsets, as expderiv._mc_sum does per
-        # sample: paths[mask] holds, summed over the orderings of the j
-        # directions in mask, V_1[i0, i1] ... V_j[i(j-1), ij].
+        # Sum over orderings by subsets (expderiv._mc_sum sums by pairs of
+        # directions per sample): paths[mask] holds, summed over the orderings
+        # of the j directions in mask, V_1[i0, i1] ... V_j[i(j-1), ij].
         paths = {0: np.ones((b, d))}
         for _ in range(n - 1):
             nxt = {}

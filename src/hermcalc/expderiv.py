@@ -9,7 +9,8 @@ point applied to direction matrices:
     sum over orderings of exp(t0 x) v exp(t1 x) ... exp(tn x), with the
     simplex carrying total mass 1/n!: one GEMM over the sample axis forms a
     batch's moments, the directions applied after the sample sum (see
-    _mc_moment), or, where those are too many, one per subset (_mc_sum).
+    _mc_moment), or, where those are too many, one per pair of directions
+    joins per-sample pair products (_mc_sum).
 
 Both accept a complex scale factor z and differentiate at z*x; the dd
 route takes the divided differences over the complex nodes z lam.
@@ -32,11 +33,10 @@ EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
 SIMPLEX_MAX_N = 8
 EXP_ARG_LIMIT = 700.0
-# MC: the moment kernel's largest d^(n+1); L, R and M entries per moment call (1 MB
-# real) and entries per subset sub-block array (512 KB complex), to keep GEMMs in cache
+# MC: the moment kernel's largest d^(n+1), and L, R and M entries per moment call
+# (1 MB real), to keep its GEMMs in cache
 MC_MOMENT_ENTRIES = 1 << 16
 MC_GROUP_ENTRIES = 1 << 17
-MC_SUB_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -156,35 +156,44 @@ def _mc_moment(ex, w):
     return y[:, 0] + 1j * y[:, 1]
 
 
-def _mc_sum(ex, dirs_eig, pairs):
-    """The subset kernel (n >= 3 only): _mc_moment's chains summed over a
-    sub-block of samples, ex (level, sample, eigenvalue). Per sample, level[mask]
-    sums V_1 diag(ex_1) ... V_j / n! over the orderings of the j directions in
-    mask, from level 2, ex_1 times pairs[1 << k | 1 << l][i, a, m] = (V_k[a, i]
-    V_l[i, m] + V_l[a, i] V_k[i, m]) / n!, to level n - 1. One GEMM over the
-    sample axis per mask then joins the last direction k, the outer diagonals
-    and the sample sum: G[c, a, m] = sum_s ex_n[s, c] ex_0[s, a] F[s, a, m]
-    ex_n-1[s, m], Y[a, c] = sum_m G[c, a, m] V_k[m, c]."""
-    n, s, d = ex.shape[0] - 1, ex.shape[1], ex.shape[2]
-    outer = ex[0][:, :, None] * ex[n - 1][:, None, :]
-    level = {m: _real_gemm(ex[1], p.reshape(d, -1)).reshape(s, d, d) for m, p in pairs.items()}
-    # each level array is read once, so the diagonals scale it in place
-    for j in range(2, n - 1):
-        nxt = {}
-        for mask, f in level.items():
-            f *= ex[j][:, None, :]
-            for k in (k for k in range(n) if not mask >> k & 1):
-                term = (f.reshape(-1, d) @ dirs_eig[k]).reshape(s, d, d)
-                key = mask | 1 << k
-                if nxt.setdefault(key, term) is not term:
-                    nxt[key] += term
-        level = nxt
-    y, full = 0, (1 << n) - 1
-    for m, f in level.items():
+def _mc_terms(dirs_eig):
+    """_mc_sum's (P, Q) per pair of directions, from chains, which maps a bit
+    mask of directions to its V_k or to the pair's P laid out [i, a, m]."""
+    n = len(dirs_eig)
+    full, chains = (1 << n) - 1, {1 << k: v for k, v in enumerate(dirs_eig)}
+    for (k, a), (l, b) in combinations(enumerate(dirs_eig), 2):
+        p = a.T[:, :, None] * b[:, None, :] + b.T[:, :, None] * a[:, None, :]
+        chains[1 << k | 1 << l] = p / factorial(n)
+    pairs = [m for m in chains if m.bit_count() == 2]
+    return [(chains[m].transpose(0, 2, 1).copy(), chains[full ^ m]) for m in pairs]
+
+
+def _mc_sum(ex, terms):
+    """The subset kernel, for n = 3 and 4 where _mc_moment's tensor is too
+    large: the same per-batch sums, ex (level, batch, sample, eigenvalue).
+    terms holds one (P, Q) per pair of directions k < l: P[i, m, a] =
+    (V_k[a, i] V_l[i, m] + V_l[a, i] V_k[i, m]) / n!, and Q the last direction
+    (n = 3) or the other pair's P as Q[j, m, c] (n = 4). Per sample, F[m, a] =
+    ex_0[a] sum_i ex_1[i] P[i, m, a] ex_2[m]. At n = 3 one GEMM over the sample
+    axis joins ex_3, G[c, m, a] = sum_s ex_3[s, c] F[s, m, a], and then the
+    last direction, Y[a, c] = sum_m G[c, m, a] Q[m, c]. At n = 4, R[m, c] =
+    sum_j ex_3[j] Q[j, m, c] ex_4[c], and one GEMM over (sample, m) reading F
+    transposed joins them: Y = n! F^T R, as both halves carry 1 / n!."""
+    n, (k, s, d) = ex.shape[0] - 1, ex.shape[1:]
+    outer = ex[2][..., :, None] * ex[0][..., None, :]
+    y = 0
+    for p, q in terms:
+        f = _real_gemm(ex[1], p.reshape(d, -1)).reshape(k, s, d, d)
         f *= outer
-        g = _real_gemm(ex[n].T, f.reshape(s, -1)).reshape(d, d, d)
-        y = y + np.einsum("cam,mc->ac", g, dirs_eig[(full ^ m).bit_length() - 1])
-    return y
+        if n == 3:
+            g = _real_gemm(ex[3].swapaxes(1, 2), f.reshape(k, s, -1)).reshape(k, d, d, d)
+            y = y + (q.T[:, None, :] @ g)[:, :, 0].swapaxes(1, 2)
+        else:
+            r = _real_gemm(ex[3], q.reshape(d, -1)).reshape(k, s, d, d)
+            r *= ex[4][..., None, :]
+            y = y + f.reshape(k, -1, d).swapaxes(1, 2) @ r.reshape(k, -1, d)
+            del f, r  # before the next pair allocates its own
+    return y if n == 3 else y * factorial(n)
 
 
 def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
@@ -205,17 +214,14 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     _check_exp_range("exp_derivative_mc", scale, dec.eigenvalues)
     d, u = h.dim, dec.vectors
     dirs_eig = to_eigenbasis(u, dirs)
-    pairs = {
-        1 << k | 1 << l: (a.T[:, :, None] * b[:, None, :] + b.T[:, :, None] * a[:, None, :])
-        / factorial(n)
-        for (k, a), (l, b) in combinations(enumerate(dirs_eig), 2)
-    }
     batch = min(256, max(1, samples // 64))
-    sub = min(batch, MC_SUB_ENTRIES // (d * d))
     moment = n < 3 or d ** (n + 1) <= MC_MOMENT_ENTRIES
-    w = _mc_weights(dirs_eig) if moment and n else None
-    entries = batch * (d ** ((n + 1) // 2) + d ** (n // 2 + 1)) + d ** (n + 1)
-    group = batch * max(1, MC_GROUP_ENTRIES // entries) if moment else batch
+    if moment:
+        kernel, w = _mc_moment, _mc_weights(dirs_eig) if n else None
+        entries = batch * (d ** ((n + 1) // 2) + d ** (n // 2 + 1)) + d ** (n + 1)
+        group = batch * max(1, MC_GROUP_ENTRIES // entries)
+    else:
+        kernel, w, group = _mc_sum, _mc_terms(dirs_eig), batch
     z = scale.real if scale.imag == 0 else scale
     total = np.zeros((d, d), dtype=np.complex128)
     m2 = done = batches = 0
@@ -226,14 +232,8 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
         # spans [a, b) of whole batches, then the block's partial batch
         cuts = [*range(0, count - count % batch, group), count - count % batch, count]
         spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-        if moment:
-            parts = (ex[:, a:b].reshape(n + 1, -1, min(batch, b - a), d) for a, b in spans)
-            y = np.concatenate([_mc_moment(part, w) for part in parts])
-        else:
-            y = np.array([
-                sum(_mc_sum(ex[:, i : min(i + sub, b)], dirs_eig, pairs) for i in range(a, b, sub))
-                for a, b in spans
-            ])
+        parts = (ex[:, a:b].reshape(n + 1, -1, min(batch, b - a), d) for a, b in spans)
+        y = np.concatenate([kernel(part, w) for part in parts])
         # Chan's parallel update, the samples before the block taken as one more batch
         size = np.append(np.minimum(batch, count - batch * np.arange(len(y))), done)[:, None, None]
         y = np.concatenate([u @ y @ u.conj().T, total[None]])

@@ -161,6 +161,18 @@ def _grid(g, r, target, n):
     return s, ghat, ws, np.abs(s) ** n * np.abs(ghat) * ws, nt
 
 
+def check_fourier_ball(r, lam=()):
+    """The Fourier route's ball: a radius r > 0 (else ParseError) up to
+    FOURIER_MAX_RADIUS (else CapExceededError) that holds the spectrum lam."""
+    if not 0 < r < np.inf:
+        raise ParseError(f"fourier_table: radius must be positive and finite, got {r}")
+    if r > FOURIER_MAX_RADIUS:
+        raise CapExceededError(f"fourier_table: radius {r:g} above {FOURIER_MAX_RADIUS:g}")
+    norm = float(np.max(np.abs(lam), initial=0.0))
+    if norm > r * (1.0 + 1e-12) + 1e-12:
+        raise RadiusError(f"fourier derivative: ||x|| = {norm:.6g} outside table radius {r:g}")
+
+
 def fourier_table(g, r, n_max=2):
     """Build the frequency table for g mollified to [-r-1, r+1].
 
@@ -175,10 +187,7 @@ def fourier_table(g, r, n_max=2):
     Orders above FOURIER_MAX_N and radii above FOURIER_MAX_RADIUS are
     refused before any transform.
     """
-    if not 0 < r < np.inf:
-        raise ParseError(f"fourier_table: radius must be positive and finite, got {r}")
-    if r > FOURIER_MAX_RADIUS:
-        raise CapExceededError(f"fourier_table: radius {r:g} above {FOURIER_MAX_RADIUS:g}")
+    check_fourier_ball(r)
     if n_max < 0:
         raise ParseError(f"fourier_table: order must be >= 0, got {n_max}")
     if n_max > FOURIER_MAX_N:
@@ -222,11 +231,6 @@ def function_derivative_fourier(table, x, dirs):
             f"fourier derivative: order {n} exceeds table n_max {table.n_max}"
         )
     dec = h.eig()
-    norm = float(np.max(np.abs(dec.eigenvalues)))
-    if norm > table.radius * (1.0 + 1e-12) + 1e-12:
-        raise RadiusError(
-            f"fourier derivative: ||x|| = {norm:.6g} outside table radius "
-            f"{table.radius:g}"
-        )
+    check_fourier_ball(table.radius, dec.eigenvalues)
     matrix = derivative_matrix(dec.eigenvalues[None], dec.vectors[None], dirs[None], table)[0]
     return MultilinearDerivative(matrix=matrix, order=n, method="fourier")

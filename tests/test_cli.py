@@ -259,6 +259,9 @@ def test_fourier_bad_directions_and_dimension_cap(mats, tmp_path):
     big = tmp_path / "big.json"
     save_matrix(np.zeros((33, 33), dtype=complex), big)
     assert main(base + ["--matrix", str(big), "--dir", str(big)]) == 4
+    far = tmp_path / "far.json"
+    save_matrix(np.diag([3.0, -1.0]).astype(complex), far)
+    assert main(base + ["--matrix", str(far), "--dir", str(small)]) == 4
 
 
 def test_fourier_rejects_bad_arguments_before_the_table(mats, tmp_path, monkeypatch):
@@ -273,6 +276,9 @@ def test_fourier_rejects_bad_arguments_before_the_table(mats, tmp_path, monkeypa
     big = tmp_path / "big.json"
     save_matrix(np.zeros((33, 33), dtype=complex), big)
     assert main(base + ["--matrix", str(big), "--dir", str(big)]) == 4
+    far = tmp_path / "far.json"
+    save_matrix(np.diag([3.0, -1.0]).astype(complex), far)
+    assert main(base + ["--matrix", str(far), "--dir", str(small)]) == 4
 
 
 @pytest.fixture

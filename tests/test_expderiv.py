@@ -168,8 +168,8 @@ def test_mc_is_deterministic_and_thread_invariant():
 
 
 def test_mc_memory_at_the_caps():
-    # sub-blocks of at most MC_SUB_ENTRIES (sample, row, column) entries; a
-    # d^(n+1) tensor per batch would be about 268 MB at d = 32, n = 4
+    # the subset kernel holds a few (sample, row, column) arrays of one batch;
+    # a d^(n+1) tensor per batch would be about 268 MB at d = 32, n = 4
     gen = np.random.default_rng(52)
     x = random_hermitian(gen, 32)
     dirs = [random_hermitian(gen, 32) for _ in range(4)]
@@ -180,6 +180,26 @@ def test_mc_memory_at_the_caps():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_mc_memory_of_a_full_subset_batch():
+    # one subset-kernel call on a whole batch of 256 samples, the largest b, at
+    # the cap shape d = 32, n = 4, with complex exponentials: it holds a few
+    # (sample, row, column) arrays of 4 MB, about 12.5 MB at its peak
+    gen = np.random.default_rng(59)
+    lam = np.linalg.eigvalsh(random_hermitian(gen, 32))
+    dirs = np.array([random_hermitian(gen, 32) for _ in range(4)])
+    t = gen.dirichlet(np.ones(5), 256)
+    ex = np.exp((0.7 - 0.4j) * np.einsum("sl,e->lse", t, lam / np.max(np.abs(lam))))[:, None]
+    terms = expderiv._mc_terms(dirs)
+    tracemalloc.start()
+    try:
+        y = expderiv._mc_sum(ex, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1, 32, 32)
+    assert peak < 16 * 2**20
 
 
 def mc_reference(x, dirs, samples, seed, scale):
@@ -240,27 +260,20 @@ def test_mc_matches_per_sample_reference(d, scale):
                 assert np.max(np.abs(est.std_error - se)) <= 1e-12 * np.max(se)
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
-def test_mc_sub_blocks_only_regroup_the_sums(monkeypatch, scale):
-    # on the subset kernel, which serves n >= 3 (MC_MOMENT_ENTRIES = 0 sends
-    # every such shape there), with room for 7 samples per sub-block each
-    # batch of 78 is summed in 12 pieces; the estimate and its standard
-    # error move by rounding only
+def test_mc_subset_kernel_takes_whole_batches(monkeypatch):
+    # MC_MOMENT_ENTRIES = 0 sends n = 3 and 4 to the subset kernel, which gets
+    # one batch per call: 5000 samples in batches of 78 are 52 whole batches
+    # and one of 40 in the first block, 11 and one of 46 in the second
     gen = np.random.default_rng(54)
     x = random_hermitian(gen, 5)
-    kernel, sizes = expderiv._mc_sum, []
+    kernel, calls = expderiv._mc_sum, []
     monkeypatch.setattr(expderiv, "MC_MOMENT_ENTRIES", 0)
+    monkeypatch.setattr(expderiv, "_mc_sum", lambda *a: calls.append(a[0].shape[1:3]) or kernel(*a))
     for n in (3, 4):
         dirs = [random_hermitian(gen, 5) for _ in range(n)]
-        whole = exp_derivative_mc(x, dirs, samples=5000, seed=22, scale=scale)
-        with monkeypatch.context() as m:
-            m.setattr(expderiv, "MC_SUB_ENTRIES", 7 * 5 * 5)
-            m.setattr(expderiv, "_mc_sum", lambda e, *a: sizes.append(e.shape[1]) or kernel(e, *a))
-            split = exp_derivative_mc(x, dirs, samples=5000, seed=22, scale=scale)
-        tol = 1e-12 * np.max(np.abs(whole.matrix))
-        assert np.max(np.abs(split.matrix - whole.matrix)) <= tol
-        assert np.max(np.abs(split.std_error - whole.std_error)) <= tol
-    assert max(sizes) == 7
+        calls.clear()
+        exp_derivative_mc(x, dirs, samples=5000, seed=22)
+        assert calls == [(1, 78)] * 52 + [(1, 40)] + [(1, 78)] * 11 + [(1, 46)]
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-module-level private name is read by some module of the package.
+module-level private name and UPPER_CASE constant is read by some module of
+the package.
 
 There is no linter in the toolchain, so these scans keep dead imports and
 orphaned helpers out of src/. The import scan skips the package's
@@ -45,10 +46,18 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(sources):
-    """(module, line, name) of each module-level _name (not a dunder)
-    defined in one of the sources, a {module: source} map, that none of
-    them reads as a name, an attribute or an import."""
+def is_private(node, name):
+    return name[:1] == "_" and name[:2] != "__"
+
+
+def is_constant(node, name):
+    return isinstance(node, (ast.Assign, ast.AnnAssign)) and name.isupper()
+
+
+def unread_names(sources, wanted=is_private):
+    """(module, line, name) of each module-level name defined in one of the
+    sources, a {module: source} map, for which wanted(node, name) holds and
+    that none of them reads as a name, an attribute or an import."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -60,7 +69,7 @@ def unread_private_names(sources):
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 names = []
-            defined += [(module, node.lineno, n) for n in names if n[:1] == "_" and n[:2] != "__"]
+            defined += [(module, node.lineno, n) for n in names if wanted(node, n)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -76,8 +85,20 @@ def test_the_scan_finds_an_unread_private_name():
         "a.py": "_A = 1\n_b, c = 2, 3\ndef _f():\n    return _b\nclass _K: pass\n__all__ = []\n",
         "b.py": "from .a import _f\nimport a\n_f(a._K)\n",
     }
-    assert unread_private_names(sources) == [("a.py", 1, "_A")]
+    assert unread_names(sources) == [("a.py", 1, "_A")]
 
 
 def test_package_reads_every_private_name():
-    assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []
+    assert unread_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_the_scan_finds_an_orphaned_constant():
+    sources = {
+        "a.py": "A_MAX = 1\nB_MAX: int = 2\nC = D = 3\ndef E(): pass\nx = A_MAX\n",
+        "b.py": "from .a import D\nimport a\nprint(a.B_MAX)\n",
+    }
+    assert unread_names(sources, is_constant) == [("a.py", 3, "C")]
+
+
+def test_package_reads_every_constant():
+    assert unread_names({p.name: p.read_text() for p in SOURCES}, is_constant) == []
