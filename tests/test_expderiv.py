@@ -260,20 +260,34 @@ def test_mc_matches_per_sample_reference(d, scale):
                 assert np.max(np.abs(est.std_error - se)) <= 1e-12 * np.max(se)
 
 
-def test_mc_subset_kernel_takes_whole_batches(monkeypatch):
+@pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
+def test_mc_sub_blocks_only_regroup_the_sums(monkeypatch, scale):
     # MC_MOMENT_ENTRIES = 0 sends n = 3 and 4 to the subset kernel, which gets
     # one batch per call: 5000 samples in batches of 78 are 52 whole batches
-    # and one of 40 in the first block, 11 and one of 46 in the second
+    # and one of 40 in the first block, 11 and one of 46 in the second. Its
+    # result is the sum over the batch's samples, so summing it over
+    # sub-blocks of 7 samples moves the estimate and its standard error by
+    # rounding only
     gen = np.random.default_rng(54)
     x = random_hermitian(gen, 5)
     kernel, calls = expderiv._mc_sum, []
+
+    def split(ex, terms):
+        calls.append(ex.shape[1:3])
+        return sum(kernel(ex[:, :, a : a + 7], terms) for a in range(0, ex.shape[2], 7))
+
     monkeypatch.setattr(expderiv, "MC_MOMENT_ENTRIES", 0)
-    monkeypatch.setattr(expderiv, "_mc_sum", lambda *a: calls.append(a[0].shape[1:3]) or kernel(*a))
     for n in (3, 4):
         dirs = [random_hermitian(gen, 5) for _ in range(n)]
+        whole = exp_derivative_mc(x, dirs, samples=5000, seed=22, scale=scale)
         calls.clear()
-        exp_derivative_mc(x, dirs, samples=5000, seed=22)
+        with monkeypatch.context() as m:
+            m.setattr(expderiv, "_mc_sum", split)
+            parts = exp_derivative_mc(x, dirs, samples=5000, seed=22, scale=scale)
         assert calls == [(1, 78)] * 52 + [(1, 40)] + [(1, 78)] * 11 + [(1, 46)]
+        tol = 1e-12 * np.max(np.abs(whole.matrix))
+        assert np.max(np.abs(parts.matrix - whole.matrix)) <= tol
+        assert np.max(np.abs(parts.std_error - whole.std_error)) <= tol
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
