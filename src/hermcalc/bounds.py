@@ -38,7 +38,7 @@ import numpy as np
 
 from . import divided, rng
 from .divided import derivative_matrix
-from .errors import OverflowRangeError, ParseError
+from .errors import OverflowRangeError, ParseError, check_finite
 from .expderiv import check_derivative_args
 from .functions import MonomialFunction
 from .linalg import eig, op_norm
@@ -51,13 +51,6 @@ PROBE_BOUNDARY_FRACTION = 0.7
 PROBE_CLIMB_DECAY = 0.664
 
 CSV_HEADER = "g_kind,n,r,d,bound,empirical,slack,samples,seed"
-
-
-def _finite(name, value):
-    """An overflowed bound is a numeric failure, never a result."""
-    if not np.isfinite(value):
-        raise OverflowRangeError(f"{name}: the bound overflows")
-    return value
 
 
 def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
@@ -74,10 +67,11 @@ def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
     g.check_order(n + 1, "sobolev_bound")
     t = np.linspace(-r, r, nodes)
     w = simpson_weights(nodes, t[1] - t[0])
-    with np.errstate(over="ignore"):  # an overflow gives inf, which _finite reports
+    with np.errstate(over="ignore"):  # an overflow gives inf, which check_finite reports
         integral = float(w @ np.abs(np.asarray(g.eval_derivative(t, n + 1))) ** 2)
     head = float(abs(g.eval_derivative(0.0, n)))
-    return _finite("sobolev_bound", head + np.sqrt(8.0 * r) * np.sqrt(integral / (2.0 * np.pi)))
+    value = head + np.sqrt(8.0 * r) * np.sqrt(integral / (2.0 * np.pi))
+    return check_finite("sobolev_bound: the bound", value)
 
 
 def power_bound(k, n, r):
@@ -92,7 +86,7 @@ def power_bound(k, n, r):
         value = factorial(k) / factorial(k - n) * r ** (k - n)
     except OverflowError:
         value = np.inf
-    return _finite("power_bound", value)
+    return check_finite("power_bound: the bound", value)
 
 
 @dataclass
@@ -137,10 +131,9 @@ def _evaluate(g, xs, dirs):
     dec = eig(xs)
     try:
         der = derivative_matrix(dec.eigenvalues, dec.vectors, dirs, g)
-        if not np.all(np.isfinite(der)):
-            raise OverflowRangeError("a derivative overflows")
-    except OverflowRangeError as exc:  # g's own values included
+    except OverflowRangeError as exc:  # g's own values overflowed
         raise OverflowRangeError(f"probe_seminorm: {exc}") from None
+    check_finite("probe_seminorm: a derivative", der)
     return op_norm(der) / np.prod(op_norm(dirs), axis=1)
 
 

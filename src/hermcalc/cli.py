@@ -8,6 +8,11 @@ with, so any run can be replayed exactly. Each subcommand takes only the
 flags it reads, as its COMMANDS entry names them; any other flag is a
 parse error.
 
+One request path: main parses the flags, resolves the seed (--seed, else
+HERMCALC_SEED, else DEFAULT_SEED, in [0, 2^32)) into args.seed before any
+work, and runs the subcommand, which hands its fields to _emit; _emit adds
+the meta block. A HermcalcError becomes the exit code its class carries.
+
 Exit codes: 0 ok, 1 invariant failure, 2 parse error, 3 numeric error,
 4 domain violation.
 """
@@ -18,15 +23,14 @@ import os
 import sys
 from functools import cache
 
-import numpy as np
-
 from . import __version__
 from .bounds import CSV_HEADER, PROBE_DEFAULT_BUDGET, bound_report, reports_to_csv, seminorm_bound
 from .divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
-from .errors import DomainError, HermcalcError, NumericError, OverflowRangeError, ParseError
+from .errors import HermcalcError, ParseError, check_finite
 from .expderiv import check_derivative_args, exp_derivative_mc, simplex_volume_mc
 from .functions import parse_function
 from .linalg import HERMITIAN_REJECT_TOL, HermitianMatrix, load_matrix, matrix_to_dict, op_norm
+from .rng import check_seed
 from .selftest import run_selftest
 from .spectral import (
     FOURIER_TAIL_TOL,
@@ -41,9 +45,6 @@ DEFAULT_SEED = 1729
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
-EXIT_PARSE = 2
-EXIT_NUMERIC = 3
-EXIT_DOMAIN = 4
 
 # tolerances recorded in every artifact so a run is replayable/auditable
 TOLERANCES = {
@@ -57,30 +58,26 @@ TOLERANCES = {
 
 
 def _resolve_seed(args):
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("HERMCALC_SEED")
-    if env is not None:
+    seed, env = args.seed, os.environ.get("HERMCALC_SEED")
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ParseError(f"HERMCALC_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    return check_seed(DEFAULT_SEED if seed is None else seed)
 
 
-def _meta(args, seed):
-    return {
+def _emit(args, fields):
+    """Write the artifact: the subcommand's fields and the meta block."""
+    meta = {
         "schema": 1,
         "version": __version__,
         "command": args.command,
         "argv": args._argv,
-        "seed": seed,
+        "seed": args.seed,
         "tolerances": TOLERANCES,
     }
-
-
-def _emit(args, payload):
-    _emit_text(args, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _emit_text(args, json.dumps({"meta": meta, **fields}, indent=1, sort_keys=True) + "\n")
 
 
 def _emit_text(args, text):
@@ -91,25 +88,16 @@ def _emit_text(args, text):
         sys.stdout.write(text)
 
 
-def _check_finite(name, m):
-    """An overflowed result is a numeric failure (exit 3), not a parse error."""
-    if not np.all(np.isfinite(m)):
-        raise OverflowRangeError(f"{name} is not finite: the result overflows")
-    return m
-
-
 def cmd_apply(args):
     g = parse_function(args.function)
     x = HermitianMatrix(load_matrix(args.matrix))
-    result = _check_finite("apply: g(x)", apply_function(g, x))
-    seed = _resolve_seed(args)
+    result = check_finite("apply: g(x)", apply_function(g, x))
     payload = {
-        "meta": _meta(args, seed),
         "g": g.label(),
         "dim": x.dim,
         "entries": matrix_to_dict(result)["entries"],
         "norm": op_norm(result),
-        "spectrum": [float(v) for v in x.eig().eigenvalues],
+        "spectrum": x.eig().eigenvalues.tolist(),
     }
     _emit(args, payload)
     if args.out:
@@ -128,7 +116,6 @@ def cmd_deriv(args):
             f"deriv: order {n} needs {n} --dir files, got {len(args.dir)}"
         )
     dirs = [load_matrix(p) for p in args.dir]
-    seed = _resolve_seed(args)
     method = args.method
     extra = {}
     if n == 0:
@@ -140,14 +127,11 @@ def cmd_deriv(args):
         if g.label() != "exp":
             raise ParseError("deriv: method mc only supports the exp function")
         der = exp_derivative_mc(
-            x, dirs, samples=args.samples, seed=seed, threads=args.threads
+            x, dirs, samples=args.samples, seed=args.seed, threads=args.threads
         )
         result = der.matrix
-        extra = {
-            "samples": der.samples,
-            "std_error": [[float(v) for v in row] for row in der.std_error],
-        }
-    elif method == "fourier":
+        extra = {"samples": der.samples, "std_error": der.std_error.tolist()}
+    else:  # fourier: argparse admits no other method
         check_derivative_args(x, dirs)  # reject bad input before building the table
         check_fourier_ball(args.radius, x.eig().eigenvalues)
         table = fourier_table(g, args.radius, n_max=n)
@@ -158,53 +142,44 @@ def cmd_deriv(args):
             "s_max": float(table.s[-1]),
             "tail_fraction": table.tail_fraction,
         }
-    else:
-        raise ParseError(f"deriv: unknown method {method!r}")
-    _check_finite(f"deriv: D^{n} g(x)[dirs]", result)
-    payload = {
-        "meta": _meta(args, seed),
+    check_finite(f"deriv: D^{n} g(x)[dirs]", result)
+    _emit(args, {
         "g": g.label(),
         "order": n,
         "method": method,
         "dim": x.dim,
         "entries": matrix_to_dict(result)["entries"],
         "norm": op_norm(result),
-    }
-    payload.update(extra)
-    _emit(args, payload)
+        **extra,
+    })
     return EXIT_OK
 
 
 def cmd_bound(args):
     g = parse_function(args.function)
     value, method = seminorm_bound(g, args.order, args.radius)
-    value, seed = float(value), _resolve_seed(args)
-    payload = {
-        "meta": _meta(args, seed),
-        "g": g.label(),
-        "order": args.order,
-        "radius": args.radius,
-        "bound": value,
-        "bound_method": method,
-    }
+    value = float(value)
     if args.out:
-        _emit(args, payload)
+        _emit(args, {
+            "g": g.label(),
+            "order": args.order,
+            "radius": args.radius,
+            "bound": value,
+            "bound_method": method,
+        })
     print(repr(value))
     return EXIT_OK
 
 
 def cmd_probe(args):
     g = parse_function(args.function)
-    seed = _resolve_seed(args)
-    d = args.dim
     report = bound_report(
-        g, args.order, args.radius, d, budget=args.samples, seed=seed
+        g, args.order, args.radius, args.dim, budget=args.samples, seed=args.seed
     )
     if args.format == "csv":
         _emit_text(args, reports_to_csv([report]))
     else:
-        payload = {
-            "meta": _meta(args, seed),
+        _emit(args, {
             "g": report.g_label,
             "order": report.n,
             "radius": report.r,
@@ -214,8 +189,7 @@ def cmd_probe(args):
             "empirical": report.empirical,
             "slack": report.slack,
             "samples": report.samples,
-        }
-        _emit(args, payload)
+        })
     if report.slack < TOLERANCES["probe_slack_floor"]:
         print(
             f"probe: bound violated: slack {report.slack!r} below "
@@ -227,27 +201,17 @@ def cmd_probe(args):
 
 
 def cmd_volume(args):
-    seed = _resolve_seed(args)
     est = simplex_volume_mc(
-        args.order, samples=args.samples, seed=seed, threads=args.threads
+        args.order, samples=args.samples, seed=args.seed, threads=args.threads
     )
-    payload = {
-        "meta": _meta(args, seed),
-        "n": est.n,
-        "value": est.value,
-        "std_error": est.std_error,
-        "samples": est.samples,
-    }
-    _emit(args, payload)
+    _emit(args, {"n": est.n, "value": est.value, "std_error": est.std_error,
+                 "samples": est.samples})
     return EXIT_OK
 
 
 def cmd_selftest(args):
-    seed = _resolve_seed(args)
-    report = run_selftest(seed, quick=args.quick, threads=args.threads)
-    payload = {"meta": _meta(args, seed)}
-    payload.update(report)
-    _emit(args, payload)
+    report = run_selftest(args.seed, quick=args.quick, threads=args.threads)
+    _emit(args, report)
     if not report["all_pass"]:
         print("selftest failed: " + ", ".join(report["failed"]), file=sys.stderr)
         return EXIT_INVARIANT
@@ -336,19 +300,11 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     args._argv = list(argv)
     try:
+        args.seed = _resolve_seed(args)  # before any work
         return COMMANDS[args.command][0](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except HermcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return exc.exit_code
 
 
 def entry():

@@ -1,20 +1,30 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto process exit codes: ParseError -> 2,
-NumericError -> 3, DomainError -> 4. Everything else is a bug.
+Each class carries the process exit code the CLI returns for it:
+HermcalcError -> 1 (an invariant failure), ParseError -> 2,
+NumericError -> 3, DomainError -> 4; subclasses inherit their parent's.
+Any other exception is a bug.
 """
+
+import numpy as np
 
 
 class HermcalcError(Exception):
     """Base class for all errors raised deliberately by this package."""
 
+    exit_code = 1
+
 
 class ParseError(HermcalcError):
     """Malformed input: bad JSON, wrong entry count, unknown function kind."""
 
+    exit_code = 2
+
 
 class NumericError(HermcalcError):
     """A computation failed numerically (non-convergence, overflow)."""
+
+    exit_code = 3
 
 
 class ConvergenceError(NumericError):
@@ -27,6 +37,8 @@ class OverflowRangeError(NumericError):
 
 class DomainError(HermcalcError):
     """Input outside the supported domain (caps, radii, derivative orders)."""
+
+    exit_code = 4
 
 
 class CapExceededError(DomainError):
@@ -43,3 +55,11 @@ class OrderSupportError(DomainError):
 
 class GridError(NumericError):
     """A quadrature grid could not meet its tail or residual tolerance."""
+
+
+def check_finite(name, value):
+    """value unchanged if every entry is finite; an overflowed result is a
+    numeric failure, never a result."""
+    if not np.all(np.isfinite(value)):
+        raise OverflowRangeError(f"{name} overflows")
+    return value

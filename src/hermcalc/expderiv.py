@@ -259,10 +259,10 @@ def simplex_volume_mc(n, samples, seed, threads=1):
     if n > SIMPLEX_MAX_N:
         raise CapExceededError(f"simplex_volume_mc: n = {n} above {SIMPLEX_MAX_N}")
     samples = int(samples)
-    if n == 0:
-        return VolumeEstimate(value=1.0, std_error=0.0, samples=samples, n=0, seed=int(seed))
     if samples < 2:
         raise ParseError("simplex_volume_mc: need at least 2 samples")
+    if n == 0:
+        return VolumeEstimate(value=1.0, std_error=0.0, samples=samples, n=0, seed=int(seed))
 
     def chunk_hits(block, count):
         gen = rng.generator(seed, rng.STREAM_VOLUME, block)

@@ -4,10 +4,13 @@ Every stochastic routine in the package draws from a Philox generator
 keyed by (seed, stream, block). Blocks are fixed-size chunks of the
 sample index space, so a computation split across any number of workers
 reproduces the single-worker result bit for bit: block k always holds
-the same draws no matter who computes it.
+the same draws no matter who computes it. A seed is an integer in
+[0, 2^32): the stream key holds it as one 32-bit word.
 """
 
 import numpy as np
+
+from .errors import ParseError
 
 # Stream ids. Distinct consumers get distinct streams so that enlarging
 # one budget never perturbs another.
@@ -23,9 +26,18 @@ STREAM_TEST = 9
 BLOCK = 4096
 
 
+def check_seed(seed):
+    """seed as an int, or ParseError outside [0, 2^32): a wider key would
+    alias, as SeedSequence pads [2^32, 1, 0] to the words of [0, 1, 1]."""
+    seed = int(seed)
+    if not 0 <= seed < 2**32:
+        raise ParseError(f"seed must lie in [0, 2^32), got {seed}")
+    return seed
+
+
 def generator(seed, stream, block=0):
     """Philox generator for one (seed, stream, block) cell."""
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, int(stream), int(block)])
+    ss = np.random.SeedSequence([check_seed(seed), int(stream), int(block)])
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -110,7 +110,7 @@ def _check_dd_vs_mc(seed, quick):
         x = random_hermitian(d, gen)
         dirs = [random_hermitian(d, gen) for _ in range(n)]
         dd = exp_derivative_dd(x, dirs).matrix
-        mc = exp_derivative_mc(x, dirs, samples=samples, seed=seed + i)
+        mc = exp_derivative_mc(x, dirs, samples=samples, seed=(seed + i) % 2**32)
         se = np.maximum(mc.std_error, 1e-15)
         frac = float(np.mean(np.abs(mc.matrix - dd) <= 3.0 * se))
         worst_frac = min(worst_frac, frac)

@@ -1,15 +1,27 @@
-"""Command-line interface, run in process through main()."""
+"""Command-line interface, run in process through main(), and as a process
+once per exit code."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hermcalc.bounds
+import hermcalc.errors
 from hermcalc.bounds import PROBE_CLIMB_STEPS, PROBE_DEFAULT_BUDGET
-from hermcalc.cli import _build_parser, main
-from hermcalc.errors import OverflowRangeError
+from hermcalc.cli import COMMANDS, _build_parser, main
+from hermcalc.errors import (
+    DomainError,
+    HermcalcError,
+    NumericError,
+    OverflowRangeError,
+    ParseError,
+)
 from hermcalc.functions import ExpFunction
 from hermcalc.linalg import HERMITIAN_REJECT_TOL, save_matrix
 from hermcalc.spectral import function_derivative_dd
@@ -208,6 +220,7 @@ def test_parse_failures_exit_2(mats, tmp_path):
     assert main(["frobnicate"]) == 2  # unknown subcommand via argparse
     assert main(["volume"]) == 2  # missing --order
     assert main(["volume", "--order", "-1"]) == 2
+    assert main(["volume", "--order", "0", "--samples", "-5"]) == 2
 
 
 @pytest.mark.parametrize("command", ["bound", "probe"])
@@ -558,3 +571,93 @@ def test_monomial_at_the_degree_cap_differentiates(tmp_path):
     code, doc = run(argv, tmp_path)
     assert code == 0
     assert np.all(np.isfinite(entries_to_matrix(doc)))
+
+
+# each subcommand's argv (no --seed) and the library route that does its work
+ROUTES = {
+    "apply": (["--matrix", "X", "--function", "exp"], "apply_function"),
+    "deriv": (["--matrix", "X", "--function", "exp", "--dir", "V"], "function_derivative_dd"),
+    "bound": (["--function", "exp", "--order", "1", "--radius", "1"], "seminorm_bound"),
+    "probe": (["--function", "exp", "--order", "1", "--radius", "1", "--dim", "2"],
+              "bound_report"),
+    "volume": (["--order", "2", "--samples", "100"], "simplex_volume_mc"),
+    "selftest": (["--quick"], "run_selftest"),
+}
+
+
+@pytest.mark.parametrize("env, flag", [("abc", []), ("4294967296", []), (None, ["--seed", "-1"]),
+                                       (None, ["--seed", "4294967296"])],
+                         ids=["env-not-int", "env-2^32", "flag-negative", "flag-2^32"])
+@pytest.mark.parametrize("command", ROUTES)
+def test_bad_seed_exits_2_before_any_work(mats, tmp_path, monkeypatch, capsys, command, env,
+                                          flag):
+    args, route = ROUTES[command]
+    args = [{"X": mats["x"], "V": mats["v"]}.get(a, a) for a in args]
+
+    def spy(*a, **k):
+        raise AssertionError(f"{route} ran before the seed was checked")
+
+    monkeypatch.setattr(f"hermcalc.cli.{route}", spy)
+    if env is None:
+        monkeypatch.delenv("HERMCALC_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HERMCALC_SEED", env)
+    assert run([command] + args + flag, tmp_path) == (2, None)
+    err = capsys.readouterr().err
+    assert ("HERMCALC_SEED" if env == "abc" else "2^32") in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1])
+def test_seeds_at_the_ends_of_the_range_run(tmp_path, seed):
+    code, doc = run(["volume", "--order", "2", "--samples", "100", "--seed", str(seed)], tmp_path)
+    assert code == 0 and doc["meta"]["seed"] == seed
+
+
+def documented_exit_code(cls):
+    # the mapping the errors module documents; the first base that matches
+    for base, code in ((ParseError, 2), (NumericError, 3), (DomainError, 4),
+                       (HermcalcError, 1)):
+        if issubclass(cls, base):
+            return code
+
+
+ERROR_CLASSES = [
+    c for c in vars(hermcalc.errors).values()
+    if isinstance(c, type) and issubclass(c, HermcalcError)
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_documented_code(monkeypatch, capsys, cls):
+    def stub(args):
+        raise cls("stub failure")
+
+    _, *rest = COMMANDS["volume"]
+    monkeypatch.setitem(COMMANDS, "volume", (stub, *rest))
+    assert main(["volume", "--order", "2"]) == documented_exit_code(cls)
+    assert capsys.readouterr().err == "error: stub failure\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bound", "--function", "exp", "--order", "1", "--radius", "1"], 0),
+        (["volume", "--order", "-1"], 2),
+        (["bound", "--function", "exp", "--order", "1", "--radius", "800"], 3),
+        (["probe", "--function", "exp", "--order", "1", "--radius", "1", "--dim", "33"], 4),
+    ],
+    ids=["ok", "parse", "numeric", "domain"],
+)
+def test_process_exit_code(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("HERMCALC_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hermcalc.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (proc.stderr == "") == (code == 0)

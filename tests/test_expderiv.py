@@ -403,6 +403,27 @@ def test_simplex_volume_mc_matches_reference():
         assert est.n == n and est.samples == 40000
 
 
+def test_simplex_volume_mc_checks_samples_before_the_order_zero_shortcut():
+    assert simplex_volume_mc(0, samples=2, seed=0).value == 1.0
+    for n in (0, 2):
+        with pytest.raises(ParseError, match="at least 2 samples"):
+            simplex_volume_mc(n, samples=-5, seed=0)
+
+
+def test_seeds_outside_32_bits_are_refused_not_aliased():
+    # the stream key holds the seed as one 32-bit word; a wider seed would
+    # repeat the draws of another seed
+    assert rng.check_seed(2**32 - 1) == 2**32 - 1
+    rng.generator(2**32 - 1, rng.STREAM_VOLUME)
+    for seed in (-1, 2**32):
+        with pytest.raises(ParseError, match=r"\[0, 2\^32\)"):
+            rng.generator(seed, rng.STREAM_VOLUME)
+        with pytest.raises(ParseError):
+            simplex_volume_mc(3, samples=100, seed=seed)
+        with pytest.raises(ParseError):
+            exp_derivative_mc(np.eye(2), [np.eye(2)], samples=100, seed=seed)
+
+
 def test_simplex_volume_mc_deterministic():
     a = simplex_volume_mc(3, samples=10000, seed=12)
     b = simplex_volume_mc(3, samples=10000, seed=12)

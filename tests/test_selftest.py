@@ -62,3 +62,9 @@ def test_crashing_check_counts_as_failure(monkeypatch):
     report = run_selftest(seed=5, quick=True, names=["simplex-volume"])
     assert report["all_pass"] is False
     assert "simplex-volume" in report["failed"]
+
+
+def test_mc_check_keeps_its_seeds_in_range_at_the_top_seed():
+    # instance i draws with seed + i, wrapped into [0, 2^32)
+    report = run_selftest(seed=2**32 - 1, quick=True, names=["exp-derivative-dd-vs-mc"])
+    assert report["all_pass"] is True, report["checks"]
