@@ -44,7 +44,7 @@ from .functions import MonomialFunction
 from .linalg import eig, op_norm
 from .spectral import simpson_weights
 
-SOBOLEV_MIN_NODES = 2049
+SOBOLEV_NODES = 2049
 PROBE_DEFAULT_BUDGET = 64
 PROBE_CLIMB_STEPS = 50
 PROBE_BOUNDARY_FRACTION = 0.7
@@ -53,20 +53,17 @@ PROBE_CLIMB_DECAY = 0.664
 CSV_HEADER = "g_kind,n,r,d,bound,empirical,slack,samples,seed"
 
 
-def sobolev_bound(g, n, r, nodes=SOBOLEV_MIN_NODES):
+def sobolev_bound(g, n, r):
     """Upper bound on the order-n derivative seminorm over the radius-r ball:
-    |g^(n)(0)| + sqrt(8 r) * (integral of |g^(n+1)|^2 / (2 pi))^(1/2)."""
+    |g^(n)(0)| + sqrt(8 r) * (integral of |g^(n+1)|^2 / (2 pi))^(1/2), the
+    integral by Simpson's rule on SOBOLEV_NODES (odd) nodes."""
     if n < 0:
         raise ParseError(f"sobolev_bound: order must be >= 0, got {n}")
     if not 0 < r < np.inf:
         raise ParseError(f"sobolev_bound: radius must be positive and finite, got {r}")
-    if nodes < SOBOLEV_MIN_NODES:
-        nodes = SOBOLEV_MIN_NODES
-    if nodes % 2 == 0:
-        nodes += 1
     g.check_order(n + 1, "sobolev_bound")
-    t = np.linspace(-r, r, nodes)
-    w = simpson_weights(nodes, t[1] - t[0])
+    t = np.linspace(-r, r, SOBOLEV_NODES)
+    w = simpson_weights(SOBOLEV_NODES, t[1] - t[0])
     with np.errstate(over="ignore"):  # an overflow gives inf, which check_finite reports
         integral = float(w @ np.abs(np.asarray(g.eval_derivative(t, n + 1))) ** 2)
     head = float(abs(g.eval_derivative(0.0, n)))

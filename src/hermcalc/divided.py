@@ -11,9 +11,10 @@ the tensor of divided differences over eigenvalue chains:
     T[i0, in] = sum over middle indices of
         V1[i0, i1] ... Vn[i(n-1), in] * g[lam_i0, ..., lam_in]
 
-summed over all orderings of the directions. derivative_matrix sums them by
-subsets of the directions and folds the last direction into the contraction
-with the tensor, so its path sums hold d^n entries per point. The tensor,
+summed over all orderings of the directions. derivative_matrix writes, for
+each direction V_k, the paths of the other n - 1 directions summed over
+their orderings into one array, n d^n entries per point; one batched matmul
+contracts them with the tensor, and V_k closes each path. The tensor,
 (B,) + (d,)^(n+1), is never built whole: it is gathered from the table and
 contracted one block of leading indices at a time, a block holding at most
 SLAB_ENTRIES entries (chain_tensor gathers it whole).
@@ -52,6 +53,7 @@ recurrence would cost more than the truncation.
 """
 
 import itertools
+from functools import reduce
 from math import factorial
 
 import numpy as np
@@ -194,27 +196,25 @@ def derivative_matrix(lam, vectors, dirs, g):
         core = w[:, 0] * chain_tensor(lam, n, g)
     else:
         newton = _newton_table(g, lam, n)
-        # Sum over orderings by subsets (expderiv._mc_sum sums by pairs of
-        # directions per sample): paths[mask] holds, summed over the orderings
-        # of the j directions in mask, V_1[i0, i1] ... V_j[i(j-1), ij].
-        paths = {0: np.ones((b, d))}
-        for _ in range(n - 1):
-            nxt = {}
-            for mask, p in paths.items():
-                for k in (k for k in range(n) if not mask >> k & 1):
-                    term = p[..., None] * w[:, k].reshape((b,) + (1,) * (p.ndim - 2) + (d, d))
-                    key = mask | 1 << k
-                    if nxt.setdefault(key, term) is not term:
-                        nxt[key] += term
-            paths = nxt
-        # the one direction each path misses closes it inside the
-        # contraction, block by block of leading indices a
-        ends = {m: w[:, ((1 << n) - 1 ^ m).bit_length() - 1] for m in paths}
+        # paths[:, a, c, k, m]: summed over the orderings of every direction
+        # but V_k, V[a, i1] V[i1, i2] ... V[i(n-2), c] with middle indices m
+        # (expderiv._mc_weights sums over orderings alike)
+        paths = np.empty((b, d, d, n, d ** (n - 2)), dtype=np.complex128)
+        for k in range(n):
+            others = [w[:, j] for j in range(n) if j != k]
+            chains = (
+                reduce(lambda p, v: (p[..., None] * v[:, None]).reshape(b, -1, d), order)
+                for order in itertools.permutations(others)
+            )
+            paths[:, :, :, k] = sum(chains).reshape(b, d, -1, d).swapaxes(2, 3)
+        # V_k[c, b] closes X[z, a, c, k, b] = (paths @ T)[z, a, c, k, b], laid
+        # out [z, (c, k), b]; in place, so the close adds no array of X's size
+        ends = w.transpose(0, 2, 1, 3).reshape(b, d * n, d)
         core, step = np.empty((b, d, d), dtype=np.complex128), max(1, SLAB_ENTRIES // (b * d**n))
         for a in (slice(a0, a0 + step) for a0 in range(0, d, step)):
-            t = _gather(*newton, a).reshape(b, -1, d ** (n - 2), d, d)
-            core[:, a] = sum(
-                np.einsum("zamc,zcb,zamcb->zab", p.reshape(b, d, -1, d)[:, a], ends[m], t)
-                for m, p in paths.items()
-            )
+            # the block is symmetric, so T[z, a, m, c, b] reads as [z, a, c, m, b]
+            t = _gather(*newton, a).reshape(b, -1, d, d ** (n - 2), d)
+            x = (paths[:, a] @ t).reshape(b, -1, d * n, d)
+            x *= ends[:, None]
+            core[:, a] = x.sum(axis=2)
     return vectors @ core @ vectors.conj().swapaxes(-1, -2)

@@ -159,17 +159,18 @@ def clustered_hermitian(gen, d, gap):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exp_derivative_matches_block_expm_on_clusters(n):
+    # at d = 16 and n = 4 the core contracts in 16 blocks of one leading index
     gen = np.random.default_rng(300 + n)
-    for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
-        x = clustered_hermitian(gen, 6, gap)
+    for d, gap in itertools.product((6, 16), (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)):
+        x = clustered_hermitian(gen, d, gap)
         dirs = []
         for _ in range(n):
-            a = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
+            a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
             dirs.append(0.5 * (a + a.conj().T))
         got = exp_derivative_dd(x, dirs).matrix
         ref = block_expm_derivative(x, dirs)
         err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-        assert err <= REL_TOL, (n, gap, err)
+        assert err <= REL_TOL, (d, n, gap, err)
 
 
 @pytest.mark.parametrize("scale", [0.0, -2.0, 0.7 - 0.4j, 3.3j])

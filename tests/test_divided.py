@@ -7,6 +7,7 @@ nodes, so a stack must give what B separate calls give, and every tensor
 entry what the table gives over that chain's own nodes, to the bit.
 """
 
+import functools
 import itertools
 import tracemalloc
 
@@ -119,7 +120,8 @@ def _scattered_tensor(nodes, n, g):
 
 
 def _whole_contraction(lam, vectors, dirs, g):
-    """derivative_matrix as one einsum over the whole scattered tensor."""
+    """derivative_matrix as one batched matmul and one closing sum over the
+    whole scattered tensor."""
     b, n, d = dirs.shape[0], dirs.shape[1], lam.shape[1]
     w = divided.to_eigenbasis(vectors, dirs)
     tensor = _scattered_tensor(lam, n, g)
@@ -129,23 +131,18 @@ def _whole_contraction(lam, vectors, dirs, g):
     elif n == 1:
         core = w[:, 0] * tensor
     else:
-        paths = {0: np.ones((b, d))}
-        for _ in range(n - 1):
-            nxt = {}
-            for mask, p in paths.items():
-                for k in (k for k in range(n) if not mask >> k & 1):
-                    term = p[..., None] * w[:, k].reshape((b,) + (1,) * (p.ndim - 2) + (d, d))
-                    key = mask | 1 << k
-                    if nxt.setdefault(key, term) is not term:
-                        nxt[key] += term
-            paths = nxt
-        t, full = tensor.reshape(b, d, -1, d, d), (1 << n) - 1
-        core = sum(
-            np.einsum(
-                "zamc,zcb,zamcb->zab", p.reshape(b, d, -1, d), w[:, (full ^ m).bit_length() - 1], t
+        # per closing direction k, the paths over the orderings of the others,
+        # laid out [z, a, c, k, m]; the tensor read as [z, a, c, m, b]
+        paths = np.empty((b, d, d, n, d ** (n - 2)), dtype=np.complex128)
+        for k in range(n):
+            others = [w[:, j] for j in range(n) if j != k]
+            chains = (
+                functools.reduce(lambda p, v: (p[..., None] * v[:, None]).reshape(b, -1, d), order)
+                for order in itertools.permutations(others)
             )
-            for m, p in paths.items()
-        )
+            paths[:, :, :, k] = sum(chains).reshape(b, d, -1, d).swapaxes(2, 3)
+        x = (paths @ tensor.reshape(b, d, d, -1, d)).reshape(b, d, d * n, d)
+        core = (x * w.transpose(0, 2, 1, 3).reshape(b, 1, d * n, d)).sum(axis=2)
     return vectors @ core @ vectors.conj().swapaxes(-1, -2)
 
 

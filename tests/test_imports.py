@@ -4,7 +4,10 @@ the package.
 
 There is no linter in the toolchain, so these scans keep dead imports and
 orphaned helpers out of src/. The import scan skips the package's
-__init__.py: its imports are the public re-exports.
+__init__.py: its imports are the public re-exports. One more scan keeps the
+Monte Carlo route apart from the divided-difference engine it cross-checks:
+in expderiv only exp_derivative_dd reads what comes from divided, apart from
+the shared rotation to_eigenbasis.
 """
 
 import ast
@@ -102,3 +105,45 @@ def test_the_scan_finds_an_orphaned_constant():
 
 def test_package_reads_every_constant():
     assert unread_names({p.name: p.read_text() for p in SOURCES}, is_constant) == []
+
+
+def engine_reads(source, engine="divided", reader="exp_derivative_dd", shared=("to_eigenbasis",)):
+    """(line, name) of each read, outside the function reader and the imports,
+    of a name the source imports from the module engine (or of the module
+    itself), shared names apart."""
+    tree = ast.parse(source)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module == engine or (node.module is None and alias.name == engine):
+                    names.add(alias.asname or alias.name)
+    names -= set(shared)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "name", None) == reader:
+            continue
+        found += [
+            (n.lineno, n.id)
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names
+        ]
+    return sorted(found)
+
+
+def test_the_scan_finds_a_read_of_the_engine():
+    source = (
+        "from .divided import to_eigenbasis, derivative_matrix as dm, SLAB\n"
+        "from . import divided, rng\n"
+        "def exp_derivative_dd(x):\n    return dm(to_eigenbasis(x), SLAB)\n"
+        "def _mc(x):\n    return to_eigenbasis(x) + SLAB\n"
+        "def exp_derivative_mc(x):\n    return divided.chain_tensor(rng.f(x), dm)\n"
+        "LIMIT = SLAB\n"
+    )
+    assert engine_reads(source) == [(6, "SLAB"), (8, "divided"), (8, "dm"), (9, "SLAB")]
+
+
+def test_monte_carlo_reads_nothing_of_the_dd_engine():
+    source = (PACKAGE / "expderiv.py").read_text()
+    assert "exp_derivative_dd" in source and "from .divided import" in source
+    assert engine_reads(source) == []
