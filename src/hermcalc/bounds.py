@@ -18,10 +18,15 @@ hill climb on the best candidate.
 The candidates are evaluated in stacks through the one derivative core:
 per stack one eigh of the (B, d, d) points, one divided-difference table
 over every point's ascending index tuples, one fold with a leading batch
-axis and one batch of singular values for the numerators and one for the
-direction norms. A stack holds at most divided.SLAB_ENTRIES chain-tensor
-entries B d^(n+1), so d <= 8, n <= 2 takes up to 128 candidates at once,
-d = 32, n = 4 one, and each stack's tensor is contracted in one block.
+axis, and one batch of eigenvalues each for the numerators and for the
+direction norms. Each point is decomposed once: its norm is its largest
+|eigenvalue|, and the scaling that puts it in the ball scales its
+eigenvalues alike. The norm of a Hermitian stack is its largest
+|eigenvalue|; the derivatives of a g that is not real-valued are not
+Hermitian and take the largest singular value. A stack holds at most
+divided.SLAB_ENTRIES chain-tensor entries B d^(n+1), so d <= 8, n <= 2
+takes up to 128 candidates at once, d = 32, n = 4 one, and each stack's
+tensor is contracted in one block.
 The best candidate is the first of the largest in candidate order, as
 one at a time would find it, and each evaluation gives the same bits on
 a stack as alone. The climb steps are evaluated speculatively in
@@ -41,7 +46,7 @@ from .divided import derivative_matrix
 from .errors import OverflowRangeError, ParseError, check_finite
 from .expderiv import check_derivative_args
 from .functions import MonomialFunction
-from .linalg import eig, op_norm
+from .linalg import eig
 from .spectral import simpson_weights
 
 SOBOLEV_NODES = 2049
@@ -121,17 +126,26 @@ class BoundReport:
         )
 
 
-def _evaluate(g, xs, dirs):
-    """Derivative norms over direction-norm products at a stack of points:
-    xs (B, d, d) and nonzero dirs (B, n, d, d), both exactly Hermitian;
-    returns (B,)."""
-    dec = eig(xs)
+def _norms(m, hermitian=True):
+    """Operator norms over the last two axes of a stack taken as it is: the
+    largest |eigenvalue| of a Hermitian stack, else the largest singular
+    value."""
+    if hermitian:
+        return np.abs(np.linalg.eigvalsh(m)).max(axis=-1)
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
+
+
+def _evaluate(g, lam, vectors, dirs, hermitian):
+    """Derivative norms over direction-norm products at a stack of points
+    given by their eigendecompositions, ascending lam (B, d) and vectors
+    (B, d, d), with nonzero dirs (B, n, d, d) exactly Hermitian; the
+    derivatives are Hermitian when g is real-valued. Returns (B,)."""
     try:
-        der = derivative_matrix(dec.eigenvalues, dec.vectors, dirs, g)
+        der = derivative_matrix(lam, vectors, dirs, g)
     except OverflowRangeError as exc:  # g's own values overflowed
         raise OverflowRangeError(f"probe_seminorm: {exc}") from None
     check_finite("probe_seminorm: a derivative", der)
-    return op_norm(der) / np.prod(op_norm(dirs), axis=1)
+    return _norms(der, hermitian) / np.prod(_norms(dirs), axis=1)
 
 
 def _stack_size(d, n):
@@ -141,13 +155,15 @@ def _stack_size(d, n):
 
 
 def _candidate_stacks(n, r, d, seed, budget):
-    """The candidates in order, as stacks of points (B, d, d) and
-    unit-norm directions (B, n, d, d): first the two commuting ones, then
-    the random ones, drawn per index, _stack_size(d, n) at a time."""
+    """The candidates in order, as stacks of points (B, d, d), their
+    ascending eigenvalues (B, d) and eigenvectors (B, d, d), and unit-norm
+    directions (B, n, d, d): first the two commuting ones, then the random
+    ones, drawn per index, _stack_size(d, n) at a time."""
     eye, step = np.eye(d, dtype=np.complex128), _stack_size(d, n)
     xs, dirs = np.stack([r * eye, -r * eye]), np.broadcast_to(eye, (2, n, d, d)).copy()
     for lo in range(0, 2, step):
-        yield xs[lo : lo + step], dirs[lo : lo + step]
+        dec = eig(xs[lo : lo + step])
+        yield xs[lo : lo + step], dec.eigenvalues, dec.vectors, dirs[lo : lo + step]
     for lo in range(0, budget, step):
         hs, targets, vs = [], [], []
         for i in range(lo, min(lo + step, budget)):
@@ -159,10 +175,12 @@ def _candidate_stacks(n, r, d, seed, budget):
             vs.extend(rng.random_hermitian(d, gen_v) for _ in range(n))
         hs = np.array(hs)
         vs = np.array(vs, dtype=np.complex128).reshape(len(hs), n, d, d)
-        nrm, vn = op_norm(hs), op_norm(vs)
-        xs = hs * np.divide(targets, nrm, out=np.zeros(len(hs)), where=nrm > 0)[:, None, None]
+        dec, vn = eig(hs), _norms(vs)
+        nrm = np.abs(dec.eigenvalues).max(axis=-1)
+        scale = np.divide(targets, nrm, out=np.zeros(len(hs)), where=nrm > 0)
         unit = vs / np.where(vn > 0, vn, 1.0)[..., None, None]
-        yield xs, np.where((vn > 0)[..., None, None], unit, eye)
+        dirs = np.where((vn > 0)[..., None, None], unit, eye)
+        yield hs * scale[:, None, None], dec.eigenvalues * scale[:, None], dec.vectors, dirs
 
 
 def _climb_perturbations(n, r, d, seed, steps):
@@ -208,10 +226,13 @@ def probe_seminorm(
         )
     eye = np.eye(d, dtype=np.complex128)
     check_derivative_args(eye, [eye] * n)  # the order and dimension caps
+    # a real-valued g has Hermitian derivatives, whose norms are eigenvalues;
+    # the dtype of its values on real nodes, read off no nodes at all
+    hermitian = np.isrealobj(g.derivatives(np.empty(0), 0, 0))
     best = (-1.0, None, None)
-    for xs, dirs in _candidate_stacks(n, r, d, seed, budget):
+    for xs, lam, vectors, dirs in _candidate_stacks(n, r, d, seed, budget):
         # a strict > in candidate order: ties and NaN keep the earlier one
-        for val, x, v in zip(_evaluate(g, xs, dirs), xs, dirs):
+        for val, x, v in zip(_evaluate(g, lam, vectors, dirs, hermitian), xs, dirs):
             if val > best[0]:
                 best = (val, x, v)
 
@@ -228,13 +249,17 @@ def probe_seminorm(
     while step < climb_steps:
         m = min(width, cap, climb_steps - step)
         cand = state + deltas[step : step + m]
-        norms = op_norm(cand)
-        over = norms[:, 0] > r
-        cand[over, 0] *= (r / norms[over, 0])[:, None, None]
-        vns = norms[:, 1:]
+        dec = eig(cand[:, 0])
+        lam = dec.eigenvalues
+        norms = np.abs(lam).max(axis=-1)
+        over = norms > r
+        shrink = r / norms[over]
+        cand[over, 0] *= shrink[:, None, None]
+        lam[over] *= shrink[:, None]
+        vns = _norms(cand[:, 1:])
         unit = cand[:, 1:] / np.where(vns > 0, vns, 1.0)[..., None, None]
         cand[:, 1:] = np.where((vns > 0)[..., None, None], unit, state[1:])
-        vals = _evaluate(g, cand[:, 0], cand[:, 1:])
+        vals = _evaluate(g, lam, dec.vectors, cand[:, 1:], hermitian)
         hits = np.flatnonzero(vals > value)  # strict, as in the candidate phase
         if hits.size:
             i = int(hits[0])

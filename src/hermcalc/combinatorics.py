@@ -35,11 +35,15 @@ def enum_compositions(n, k):
         raise CapExceededError(
             f"enum_compositions: {total} tuples exceeds cap {COMPOSITION_MAX_COUNT}"
         )
-    # stars and bars: n bars among n + k slots, the parts the gaps between them
-    return [
-        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + k)))
-        for bars in itertools.combinations(range(n + k), n)
-    ]
+    # tails[t]: the tuples summing to t, one part longer after each step,
+    # which puts every leading part a before the tails of sum t - a; a
+    # ascending over lex-sorted tails keeps them sorted, and the last step
+    # needs the sum k alone
+    tails = [[(t,)] for t in range(k + 1)]
+    for j in range(n):
+        sums = range(k + 1) if j < n - 1 else (k,)
+        tails = [[(a,) + rest for a in range(t + 1) for rest in tails[t - a]] for t in sums]
+    return tails[-1]
 
 
 def enum_permutations(n):

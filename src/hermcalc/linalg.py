@@ -2,7 +2,9 @@
 
 The eigensolver and the operator norm are LAPACK calls through numpy
 (eigh and the largest singular value). Both are deterministic for a given
-build and BLAS thread count.
+build and BLAS thread count. op_norm gives the norm of any matrix, as the
+apply and deriv artifacts report it; the seminorm probe (bounds.py) takes
+the norms of its Hermitian stacks from their eigenvalues instead.
 """
 
 from __future__ import annotations

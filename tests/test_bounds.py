@@ -26,6 +26,7 @@ from hermcalc.functions import (
     parse_function,
 )
 from hermcalc.linalg import op_norm
+from hermcalc.spectral import function_derivative_dd
 
 
 def test_power_bound_values():
@@ -135,6 +136,91 @@ def test_probe_deterministic():
     np.testing.assert_array_equal(a.witness_x, b.witness_x)
 
 
+def _hermitian(gen, *shape):
+    a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def test_hermitian_norms_match_the_svd():
+    gen = np.random.default_rng(17)
+    shifted = _hermitian(gen, 4, 5, 5)
+    # shifted down past its spectrum: the largest |eigenvalue| is the most negative one
+    shifted -= 2 * op_norm(shifted)[:, None, None] * np.eye(5)
+    cases = [
+        _hermitian(gen, 6, 6),  # one matrix
+        _hermitian(gen, 7, 4, 4),
+        _hermitian(gen, 3, 2, 8, 8),  # (B, n, d, d), as the directions
+        shifted,
+        np.zeros((3, 3), dtype=np.complex128),
+        np.zeros((2, 3, 3), dtype=np.complex128),
+        _hermitian(gen, 1, 1),
+        _hermitian(gen, 5, 2, 1, 1),
+        np.array([[-2.5 + 0j]]),
+    ]
+    assert np.all(np.linalg.eigvalsh(shifted)[..., -1] < 0)
+    for m in cases:
+        got, want = bounds._norms(m), op_norm(m)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+PROBE_KINDS = [
+    GaussianFunction(),
+    parse_function("sin"),
+    ExpFunction(),
+    PolynomialFunction([0.5, 1.0 - 0.5j, 0.25j, 0.1]),  # complex: the SVD path
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("g", PROBE_KINDS, ids=lambda g: g.label())
+def test_probe_value_is_the_norm_at_its_witness(g, n):
+    est = probe_seminorm(g, n, 1.5, 4, budget=16, seed=31)
+    der = function_derivative_dd(g, est.witness_x, est.witness_dirs).matrix
+    value = op_norm(der) / np.prod([op_norm(v) for v in est.witness_dirs])
+    assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+
+
+def _count_solves(monkeypatch):
+    """Matrices given to each numpy.linalg solver, and the calls of
+    numpy.linalg.norm of order 2 (op_norm's SVD), while the spy is in place."""
+    seen = dict.fromkeys(("eigh", "eigvalsh", "svd", "norm"), 0)
+    for name in seen:
+
+        def spy(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            if _name != "norm":
+                seen[_name] += np.size(a) // np.shape(a)[-1] ** 2
+            elif kwargs.get("ord", args[0] if args else None) == 2:
+                seen[_name] += 1
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    evaluate, points = bounds._evaluate, []
+
+    def count_points(g, lam, *args):
+        points.append(len(lam))
+        return evaluate(g, lam, *args)
+
+    monkeypatch.setattr(bounds, "_evaluate", count_points)
+    return seen, points
+
+
+@pytest.mark.parametrize("g", PROBE_KINDS, ids=lambda g: g.label())
+def test_probe_decomposes_each_point_once(g, monkeypatch):
+    seen, points = _count_solves(monkeypatch)
+    probe_seminorm(g, 2, 1.0, 4, budget=8, seed=5)
+    evaluated = sum(points)
+    assert evaluated >= 2 + 8 + bounds.PROBE_CLIMB_STEPS
+    assert seen["eigh"] == evaluated
+    assert seen["norm"] == 0
+    # a real g's derivatives are Hermitian: no SVD; a complex g's take one each
+    real = not isinstance(g, PolynomialFunction)
+    assert seen["svd"] == (0 if real else evaluated)
+    # eigvalsh: the n unit directions of every point and a real g's derivative,
+    # and the n drawn or perturbed directions of all but the two commuting points
+    assert seen["eigvalsh"] == evaluated * (2 + real) + 2 * (evaluated - 2)
+
+
 def test_bound_report_monomial_row():
     rep = bound_report(MonomialFunction(2), 1, 1.0, 4, budget=64, seed=9)
     assert rep.bound == 2.0
@@ -166,13 +252,13 @@ def _witness_digest(est):
 # seed 2026, recorded from the one-candidate-at-a-time probe
 # (bounds._stack_size patched to 1)
 GOLDEN_PROBES = {
-    ("gaussian", 4, 1): ("0x1.1d6f92dd7e413p-1", "7dfcc0635df8bcad", 84),
-    ("gaussian", 4, 2): ("0x1.62ab32504b562p-1", "84f905017ad196ba", 84),
-    ("gaussian", 8, 1): ("0x1.fac619b98b458p-2", "240784da56f07117", 84),
-    ("gaussian", 8, 2): ("0x1.11229bb27a5eap-1", "2ae5615c6cf9c0a1", 84),
-    ("sin", 4, 1): ("0x1.fc71abf1c1d40p-1", "4450dcbed78538df", 84),
+    ("gaussian", 4, 1): ("0x1.1d6f92dd7e41ap-1", "29fced81731e005c", 84),
+    ("gaussian", 4, 2): ("0x1.62ab32504b560p-1", "a09092d4e6112032", 84),
+    ("gaussian", 8, 1): ("0x1.fac619b98b463p-2", "9b21e4ffc94c45ac", 84),
+    ("gaussian", 8, 2): ("0x1.11229bb27a5e7p-1", "d5632d46a3063ecf", 84),
+    ("sin", 4, 1): ("0x1.fc71abf1c1d40p-1", "19c0d611794bbc32", 84),
     ("sin", 4, 2): ("0x1.feb7a9b2c6d8bp-1", "5de889478e2d5611", 84),
-    ("sin", 8, 1): ("0x1.ff32fcd00d41cp-1", "086c8e87e4dd5358", 84),
+    ("sin", 8, 1): ("0x1.ff32fcd00d427p-1", "a605793401d7d713", 84),
     ("sin", 8, 2): ("0x1.feb7a9b2c6d8bp-1", "fee5bb58e4f328ce", 84),
     ("exp", 4, 1): ("0x1.1ed3fe64fc541p+2", "766b3a5006cd0e4f", 84),
     ("exp", 4, 2): ("0x1.1ed3fe64fc541p+2", "5de889478e2d5611", 84),
@@ -197,7 +283,7 @@ def test_probe_matches_golden(key):
 GOLDEN_EDGES = {
     ("gaussian", 8, 4, 5, 3): ("0x1.c3ea8e592aca0p+0", "11b9474933e67c76", 10),
     ("sin", 8, 4, 5, 3): ("0x1.feb7a9b2c6d8ap-1", "11b9474933e67c76", 10),
-    ("gaussian", 4, 2, 0, 50): ("0x1.64b81e9e2af6fp-1", "3e2472c60d4b2bc5", 52),
+    ("gaussian", 4, 2, 0, 50): ("0x1.64b81e9e2af6dp-1", "71ac87ce79a656aa", 52),
     ("sin", 4, 2, 1, 50): ("0x1.feb7a9b2c6d8bp-1", "5de889478e2d5611", 53),
     ("gaussian", 3, 1, 1, 0): ("0x1.f2aa8b6b380b0p-2", "b7248a4346a426be", 3),
     ("sin", 5, 3, 0, 0): ("0x1.21bd54fc5f9a6p-4", "6f591623e7478021", 2),
@@ -238,16 +324,21 @@ def _sequential_climb(g, n, r, d, seed, budget, steps):
     states, accepted = [(value, x, dirs)], []
     sigma0 = 0.5 * r
     decay = 0.664
+    hermitian = np.isrealobj(g(np.linspace(-r, r, 3)))
     for step in range(steps):
         gen = rng.generator(seed, rng.STREAM_PROBE_CLIMB, step)
         sigma = sigma0 * decay**step
         xp = x + sigma * rng.random_hermitian(d, gen)
         vps = [v + (sigma / r) * rng.random_hermitian(d, gen) for v in dirs]
-        nrm, *vns = op_norm(np.array([xp, *vps]))
+        # the point's norm from its one eigendecomposition, the directions' from eigvalsh
+        lam, vectors = np.linalg.eigh(xp)
+        nrm = np.abs(lam).max()
         if nrm > r:
-            xp = xp * (r / nrm)
+            xp, lam = xp * (r / nrm), lam * (r / nrm)
+        vns = bounds._norms(np.array(vps).reshape(n, d, d))
         dirs_p = [vp / vn if vn > 0 else v for v, vp, vn in zip(dirs, vps, vns)]
-        val = bounds._evaluate(g, xp[None], np.array(dirs_p).reshape(1, n, d, d))[0]
+        dirs_p_stack = np.array(dirs_p).reshape(1, n, d, d)
+        val = bounds._evaluate(g, lam[None], vectors[None], dirs_p_stack, hermitian)[0]
         if val > value:
             value, x, dirs = val, xp, dirs_p
             accepted.append(step)
@@ -296,9 +387,9 @@ def _cap_entries(cap, d, n):
 def test_speculative_climb_equals_sequential_climb(kind, cap, monkeypatch):
     evaluate, stacks = bounds._evaluate, []
 
-    def spy(g, xs, dirs):
-        stacks.append(len(xs))
-        return evaluate(g, xs, dirs)
+    def spy(g, lam, vectors, dirs, hermitian):
+        stacks.append(len(lam))
+        return evaluate(g, lam, vectors, dirs, hermitian)
 
     monkeypatch.setattr(bounds, "_evaluate", spy)
     for d, n, seed in CLIMB_SHAPES:

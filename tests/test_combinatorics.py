@@ -1,5 +1,6 @@
 """Composition and permutation enumeration used by the word expansions."""
 
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -28,6 +29,14 @@ def test_compositions_are_lexicographic_and_complete():
     assert len(set(comps)) == len(comps)
     for alpha in comps:
         assert len(alpha) == 3 and sum(alpha) == 3 and min(alpha) >= 0
+
+
+def test_compositions_equal_the_filtered_lex_product():
+    # product over range(k + 1) is in lex order, so the filter keeps it
+    for n in range(0, 5):
+        for k in range(0, 7):
+            want = [c for c in product(range(k + 1), repeat=n + 1) if sum(c) == k]
+            assert enum_compositions(n, k) == want
 
 
 def test_composition_edge_cases():
