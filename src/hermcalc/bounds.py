@@ -18,15 +18,15 @@ hill climb on the best candidate.
 The candidates are evaluated in stacks through the one derivative core:
 per stack one eigh of the (B, d, d) points, one divided-difference table
 over every point's ascending index tuples, one fold with a leading batch
-axis, and one batch of eigenvalues each for the numerators and for the
-direction norms. Each point is decomposed once: its norm is its largest
+axis, and one batch of eigenvalues for the numerators and the direction
+norms together. Each point is decomposed once: its norm is its largest
 |eigenvalue|, and the scaling that puts it in the ball scales its
-eigenvalues alike. The norm of a Hermitian stack is its largest
+eigenvalues alike. The norm of a Hermitian matrix is its largest
 |eigenvalue|; the derivatives of a g that is not real-valued are not
-Hermitian and take the largest singular value. A stack holds at most
-divided.SLAB_ENTRIES chain-tensor entries B d^(n+1), so d <= 8, n <= 2
-takes up to 128 candidates at once, d = 32, n = 4 one, and each stack's
-tensor is contracted in one block.
+Hermitian, and their norms are largest singular values, in a call of
+their own. A stack holds at most divided.SLAB_ENTRIES chain-tensor
+entries B d^(n+1), so d <= 8, n <= 2 takes up to 128 candidates at once,
+d = 32, n = 4 one, and each stack's tensor is contracted in one block.
 The best candidate is the first of the largest in candidate order, as
 one at a time would find it, and each evaluation gives the same bits on
 a stack as alone. The climb steps are evaluated speculatively in
@@ -145,7 +145,11 @@ def _evaluate(g, lam, vectors, dirs, hermitian):
     except OverflowRangeError as exc:  # g's own values overflowed
         raise OverflowRangeError(f"probe_seminorm: {exc}") from None
     check_finite("probe_seminorm: a derivative", der)
-    return _norms(der, hermitian) / np.prod(_norms(dirs), axis=1)
+    if not hermitian:
+        return _norms(der, False) / np.prod(_norms(dirs), axis=1)
+    # one eigvalsh call for every point's derivative and directions
+    norms = _norms(np.concatenate([der[:, None], dirs], axis=1))
+    return norms[:, 0] / np.prod(norms[:, 1:], axis=1)
 
 
 def _stack_size(d, n):
