@@ -126,13 +126,10 @@ class BoundReport:
         )
 
 
-def _norms(m, hermitian=True):
-    """Operator norms over the last two axes of a stack taken as it is: the
-    largest |eigenvalue| of a Hermitian stack, else the largest singular
-    value."""
-    if hermitian:
-        return np.abs(np.linalg.eigvalsh(m)).max(axis=-1)
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
+def _norms(m):
+    """Operator norms of a Hermitian stack taken as it is: the largest
+    |eigenvalue| of each matrix over the last two axes."""
+    return np.abs(np.linalg.eigvalsh(m)).max(axis=-1)
 
 
 def _evaluate(g, lam, vectors, dirs, hermitian):
@@ -145,8 +142,8 @@ def _evaluate(g, lam, vectors, dirs, hermitian):
     except OverflowRangeError as exc:  # g's own values overflowed
         raise OverflowRangeError(f"probe_seminorm: {exc}") from None
     check_finite("probe_seminorm: a derivative", der)
-    if not hermitian:
-        return _norms(der, False) / np.prod(_norms(dirs), axis=1)
+    if not hermitian:  # the largest singular value
+        return np.linalg.svd(der, compute_uv=False)[..., 0] / np.prod(_norms(dirs), axis=1)
     # one eigvalsh call for every point's derivative and directions
     norms = _norms(np.concatenate([der[:, None], dirs], axis=1))
     return norms[:, 0] / np.prod(norms[:, 1:], axis=1)
