@@ -173,9 +173,9 @@ def _candidate_stacks(n, r, d, seed, budget):
             boundary = gen_x.random() < PROBE_BOUNDARY_FRACTION
             targets.append(r if boundary else r * gen_x.random())
             gen_v = rng.generator(seed, rng.STREAM_PROBE_DIRS, i)
-            vs.extend(rng.random_hermitian(d, gen_v) for _ in range(n))
+            vs.append(rng.random_hermitians(n, d, gen_v))
         hs = np.array(hs)
-        vs = np.array(vs, dtype=np.complex128).reshape(len(hs), n, d, d)
+        vs = np.array(vs)
         dec, vn = eig(hs), _norms(vs)
         nrm = np.abs(dec.eigenvalues).max(axis=-1)
         scale = np.divide(targets, nrm, out=np.zeros(len(hs)), where=nrm > 0)
@@ -194,9 +194,9 @@ def _climb_perturbations(n, r, d, seed, steps):
         gen = rng.generator(seed, rng.STREAM_PROBE_CLIMB, k)
         # a Python scalar: a numpy power of the decay differs in the last bits
         sigma = 0.5 * r * PROBE_CLIMB_DECAY**k
-        out[k, 0] = sigma * rng.random_hermitian(d, gen)
-        for j in range(1, n + 1):
-            out[k, j] = (sigma / r) * rng.random_hermitian(d, gen)
+        h = rng.random_hermitians(n + 1, d, gen)
+        out[k, 0] = sigma * h[0]
+        out[k, 1:] = (sigma / r) * h[1:]
     return out
 
 

@@ -7,7 +7,9 @@ point applied to direction matrices:
     differences of exp over eigenvalue chains.
   * exp_derivative_mc: Monte-Carlo quadrature of the simplex integral
     sum over orderings of exp(t0 x) v exp(t1 x) ... exp(tn x), with the
-    simplex carrying total mass 1/n!: one GEMM over the sample axis forms a
+    simplex carrying total mass 1/n!. A block's exponentials are laid out
+    (level, batch, eigenvalue, sample), so the sample axis is innermost: one
+    GEMM over it, between Kronecker products of the exponentials, forms a
     batch's moments, the directions applied after the sample sum (see
     _mc_moment), or, where those are too many, one per pair of directions
     joins per-sample pair products (_mc_sum).
@@ -33,8 +35,9 @@ EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
 SIMPLEX_MAX_N = 8
 EXP_ARG_LIMIT = 700.0
-# MC: the moment kernel's largest d^(n+1), and L, R and M entries per moment call
-# (1 MB real), to keep its GEMMs in cache
+# MC: the moment kernel's largest d^(n+1) at b = 256 samples a batch (below, times
+# sqrt(b / 256), where the two kernels' measured costs cross), and L, R and M
+# entries per moment call (1 MB real), to keep its GEMMs in cache
 MC_MOMENT_ENTRIES = 1 << 16
 MC_GROUP_ENTRIES = 1 << 17
 
@@ -133,23 +136,23 @@ def _mc_weights(dirs_eig):
     return np.stack([w.real, w.imag]).reshape(2, len(w), -1, len(w)) / factorial(len(dirs_eig))
 
 
-def _kron_rows(factors):
-    """Row-wise Kronecker products (einsum: half the time of broadcasting)."""
-    return reduce(lambda a, b: np.einsum("...i,...j", a, b).reshape(*a.shape[:-1], -1), factors)
-
-
 def _mc_moment(ex, w):
     """Per batch, the sum over its samples of the eigenbasis chains diag(ex_0)
-    V_1 ... V_n diag(ex_n) / n! summed over orderings, ex (level, batch, sample,
-    eigenvalue): the moments M[i0..in] = sum_s ex_0[s, i0] ... ex_n[s, in] are
-    one GEMM over the sample axis, L^T R, with rows the Kronecker products of
-    ex_0..ex_h-1 and ex_h..ex_n, h = (n + 1) // 2; Y[a, c] = sum_mid M[a, mid,
-    c] W[a, mid, c], over W's parts if M is real. n = 0 is the diagonal."""
-    n, k, d = ex.shape[0] - 1, ex.shape[1], ex.shape[3]
+    V_1 ... V_n diag(ex_n) / n! summed over orderings, ex (level, batch,
+    eigenvalue, sample): the moments M[i0..in] = sum_s ex_0[i0, s] ...
+    ex_n[in, s] are one GEMM over the sample axis, L R^T, L and R the
+    Kronecker products of ex_0..ex_h-1 and of ex_h..ex_n, h = (n + 1) // 2,
+    each formed with the sample axis last; Y[a, c] = sum_mid M[a, mid, c]
+    W[a, mid, c], over W's parts if M is real. n = 0 is the diagonal."""
+    n, (k, d, s) = ex.shape[0] - 1, ex.shape[1:]
     if n == 0:
-        return ex[0].sum(axis=1)[:, :, None] * np.eye(d)
+        return ex[0].sum(axis=2)[:, :, None] * np.eye(d)
     h = (n + 1) // 2
-    m = (_kron_rows(ex[:h]).swapaxes(1, 2) @ _kron_rows(ex[h:])).reshape(k, d, -1, d)
+    left, right = (
+        reduce(lambda a, b: (a[:, :, None] * b[:, None]).reshape(k, -1, s), f)
+        for f in (ex[:h], ex[h:])
+    )
+    m = (left @ right.swapaxes(1, 2)).reshape(k, d, -1, d)
     if m.dtype == np.complex128:
         return np.einsum("zamc,amc->zac", m, w[0] + 1j * w[1])
     y = np.einsum("zamc,xamc->zxac", m, w)
@@ -169,9 +172,10 @@ def _mc_terms(dirs_eig):
 
 
 def _mc_sum(ex, terms):
-    """The subset kernel, for n = 3 and 4 where _mc_moment's tensor is too
-    large: the same per-batch sums, ex (level, batch, sample, eigenvalue).
-    terms holds one (P, Q) per pair of directions k < l: P[i, m, a] =
+    """The subset kernel, for n = 3 and 4 where _mc_moment's tensor costs
+    more: the same per-batch sums, ex (level, batch, eigenvalue, sample),
+    copied once to (level, batch, sample, eigenvalue), as its GEMMs put the
+    samples on the rows. terms holds one (P, Q) per pair of directions k < l: P[i, m, a] =
     (V_k[a, i] V_l[i, m] + V_l[a, i] V_k[i, m]) / n!, and Q the last direction
     (n = 3) or the other pair's P as Q[j, m, c] (n = 4). Per sample, F[m, a] =
     ex_0[a] sum_i ex_1[i] P[i, m, a] ex_2[m]. At n = 3 one GEMM over the sample
@@ -179,7 +183,8 @@ def _mc_sum(ex, terms):
     last direction, Y[a, c] = sum_m G[c, m, a] Q[m, c]. At n = 4, R[m, c] =
     sum_j ex_3[j] Q[j, m, c] ex_4[c], and one GEMM over (sample, m) reading F
     transposed joins them: Y = n! F^T R, as both halves carry 1 / n!."""
-    n, (k, s, d) = ex.shape[0] - 1, ex.shape[1:]
+    n, ex = ex.shape[0] - 1, np.ascontiguousarray(ex.swapaxes(2, 3))
+    k, s, d = ex.shape[1:]
     outer = ex[2][..., :, None] * ex[0][..., None, :]
     y = 0
     for p, q in terms:
@@ -188,11 +193,14 @@ def _mc_sum(ex, terms):
         if n == 3:
             g = _real_gemm(ex[3].swapaxes(1, 2), f.reshape(k, s, -1)).reshape(k, d, d, d)
             y = y + (q.T[:, None, :] @ g)[:, :, 0].swapaxes(1, 2)
+            # freed before the next pair allocates its own: with two alive,
+            # the heap is trimmed and faulted back in on every call
+            del f, g
         else:
             r = _real_gemm(ex[3], q.reshape(d, -1)).reshape(k, s, d, d)
             r *= ex[4][..., None, :]
             y = y + f.reshape(k, -1, d).swapaxes(1, 2) @ r.reshape(k, -1, d)
-            del f, r  # before the next pair allocates its own
+            del f, r
     return y if n == 3 else y * factorial(n)
 
 
@@ -201,10 +209,14 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     errors: uniform simplex samples, E[integrand] / n! summed over direction
     orderings. Each 4096-sample block is summed in batches of
     b = min(256, max(1, samples // 64)) samples, the last one of a block
-    possibly partial, by _mc_moment where d^(n+1) <= MC_MOMENT_ENTRIES, else
-    by _mc_sum; the block is merged by Chan's parallel update. std_error is
-    the batch-means estimate sqrt(sum_k n_k |m_k - m|^2 / ((K - 1) N)) over the
-    K batches, per sample for b = 1. Bit-reproducible; threads is ignored."""
+    possibly partial. The block's draws are normalised as (level, sample)
+    rows, and its exponentials exp(z t_j lam) are written once, laid out
+    (level, batch, eigenvalue, sample), with exp taken in place. Its whole
+    batches, then its partial batch, go to _mc_moment where d^(n+1) <=
+    MC_MOMENT_ENTRIES sqrt(b / 256), else to _mc_sum, and the block is
+    merged by Chan's parallel update. std_error is the batch-means estimate
+    sqrt(sum_k n_k |m_k - m|^2 / ((K - 1) N)) over the K batches, per sample
+    for b = 1. Bit-reproducible; threads is ignored."""
     h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
     samples = int(samples)
@@ -215,24 +227,28 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     d, u = h.dim, dec.vectors
     dirs_eig = to_eigenbasis(u, dirs)
     batch = min(256, max(1, samples // 64))
-    moment = n < 3 or d ** (n + 1) <= MC_MOMENT_ENTRIES
+    moment = n < 3 or d ** (n + 1) <= MC_MOMENT_ENTRIES * (batch / 256) ** 0.5
     if moment:
         kernel, w = _mc_moment, _mc_weights(dirs_eig) if n else None
         entries = batch * (d ** ((n + 1) // 2) + d ** (n // 2 + 1)) + d ** (n + 1)
-        group = batch * max(1, MC_GROUP_ENTRIES // entries)
+        group = max(1, MC_GROUP_ENTRIES // entries)
     else:
-        kernel, w, group = _mc_sum, _mc_terms(dirs_eig), batch
-    z = scale.real if scale.imag == 0 else scale
+        kernel, w, group = _mc_sum, _mc_terms(dirs_eig), 1
+    zlam = (scale.real if scale.imag == 0 else scale) * dec.eigenvalues[:, None]
     total = np.zeros((d, d), dtype=np.complex128)
     m2 = done = batches = 0
     for block, count in rng.blocks(samples):
-        e = rng.generator(seed, rng.STREAM_SIMPLEX, block).standard_exponential((count, n + 1))
-        t = e / e.sum(axis=1, keepdims=True)
-        ex = np.exp(z * np.einsum("ls,e->lse", t.T, dec.eigenvalues, order="C"))
-        # spans [a, b) of whole batches, then the block's partial batch
-        cuts = [*range(0, count - count % batch, group), count - count % batch, count]
-        spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-        parts = (ex[:, a:b].reshape(n + 1, -1, min(batch, b - a), d) for a, b in spans)
+        gen = rng.generator(seed, rng.STREAM_SIMPLEX, block)
+        t = gen.standard_exponential((count, n + 1)).T.copy()
+        t /= t.sum(axis=0)
+        # the exponentials (level, batch, eigenvalue, sample) of the block's
+        # whole batches, then of its partial batch, in groups of whole batches
+        cut, parts = count - count % batch, []
+        for grid in (t[:, :cut].reshape(n + 1, -1, 1, batch), t[:, cut:].reshape(n + 1, 1, 1, -1)):
+            if grid.size:
+                ex = grid * zlam
+                np.exp(ex, out=ex)
+                parts += [ex[:, a : a + group] for a in range(0, ex.shape[1], group)]
         y = np.concatenate([kernel(part, w) for part in parts])
         # Chan's parallel update, the samples before the block taken as one more batch
         size = np.append(np.minimum(batch, count - batch * np.arange(len(y))), done)[:, None, None]

@@ -52,5 +52,13 @@ def blocks(total):
 
 def random_hermitian(d, rng, scale=1.0):
     """Random Hermitian matrix with Gaussian entries, (G + G*) / 2."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * 0.5 * (g + g.conj().T)
+    return scale * random_hermitians(1, d, rng)[0]
+
+
+def random_hermitians(m, d, rng):
+    """m random Hermitian matrices, (m, d, d), from one draw that reads the
+    stream as m calls of random_hermitian do: per matrix, the real parts of
+    G, then its imaginary parts."""
+    g = rng.standard_normal((m, 2, d, d))
+    g = g[:, 0] + 1j * g[:, 1]
+    return 0.5 * (g + g.conj().swapaxes(1, 2))

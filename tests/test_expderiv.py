@@ -190,7 +190,7 @@ def test_mc_memory_of_a_full_subset_batch():
     lam = np.linalg.eigvalsh(random_hermitian(gen, 32))
     dirs = np.array([random_hermitian(gen, 32) for _ in range(4)])
     t = gen.dirichlet(np.ones(5), 256)
-    ex = np.exp((0.7 - 0.4j) * np.einsum("sl,e->lse", t, lam / np.max(np.abs(lam))))[:, None]
+    ex = np.exp((0.7 - 0.4j) * np.einsum("sl,e->les", t, lam / np.max(np.abs(lam))))[:, None]
     terms = expderiv._mc_terms(dirs)
     tracemalloc.start()
     try:
@@ -273,8 +273,8 @@ def test_mc_sub_blocks_only_regroup_the_sums(monkeypatch, scale):
     kernel, calls = expderiv._mc_sum, []
 
     def split(ex, terms):
-        calls.append(ex.shape[1:3])
-        return sum(kernel(ex[:, :, a : a + 7], terms) for a in range(0, ex.shape[2], 7))
+        calls.append((ex.shape[1], ex.shape[3]))
+        return sum(kernel(ex[..., a : a + 7], terms) for a in range(0, ex.shape[3], 7))
 
     monkeypatch.setattr(expderiv, "MC_MOMENT_ENTRIES", 0)
     for n in (3, 4):
@@ -308,7 +308,9 @@ def test_mc_batch_groups_only_regroup_the_sums(monkeypatch, scale):
         with monkeypatch.context() as m:
             m.setattr(expderiv, "MC_GROUP_ENTRIES", 3 * per_batch)
             m.setattr(
-                expderiv, "_mc_moment", lambda *a: groups.append(a[0].shape[1:3]) or kernel(*a)
+                expderiv,
+                "_mc_moment",
+                lambda *a: groups.append((a[0].shape[1], a[0].shape[3])) or kernel(*a),
             )
             split = exp_derivative_mc(x, dirs, samples=5000, seed=23, scale=scale)
         tol = 1e-12 * np.max(np.abs(whole.matrix))
@@ -348,9 +350,11 @@ class _Chosen(Exception):
 
 
 def test_mc_kernel_by_shape(monkeypatch):
-    # the moment kernel wherever its tensor has d^(n+1) <= 2^16 entries: the
-    # bench's shapes (d in {4, 8}, n in {2, 3}) and every cap shape but
-    # (32, 3), (16, 4) and (32, 4), where the subset kernel runs
+    # the moment kernel wherever its tensor has d^(n+1) <= 2^16 sqrt(b / 256)
+    # entries. At 10^5 samples, b = 256: the bench's shapes (d in {4, 8}, n in
+    # {2, 3}) and every cap shape but (32, 3), (16, 4) and (32, 4), where the
+    # subset kernel runs. At 2000 samples, b = 31, the bound is about 22800,
+    # so (16, 3) and (8, 4) take the subset kernel too
     def chosen(name):
         def stop(*args):
             raise _Chosen(name)
@@ -360,14 +364,17 @@ def test_mc_kernel_by_shape(monkeypatch):
     monkeypatch.setattr(expderiv, "_mc_moment", chosen("moment"))
     monkeypatch.setattr(expderiv, "_mc_sum", chosen("subset"))
     gen = np.random.default_rng(57)
+    caps = {(32, 3), (16, 4), (32, 4)}
+    subset = {100000: caps, 2000: caps | {(16, 3), (8, 4)}}
     for d in (4, 8, 16, 32):
         x = random_hermitian(gen, d)
         for n in range(5):
             dirs = [random_hermitian(gen, d) for _ in range(n)]
-            with pytest.raises(_Chosen) as took:
-                exp_derivative_mc(x, dirs, samples=100000, seed=1)
-            subset = (d, n) in ((32, 3), (16, 4), (32, 4))
-            assert str(took.value) == ("subset" if subset else "moment"), (d, n)
+            for samples, shapes in subset.items():
+                with pytest.raises(_Chosen) as took:
+                    exp_derivative_mc(x, dirs, samples=samples, seed=1)
+                want = "subset" if (d, n) in shapes else "moment"
+                assert str(took.value) == want, (d, n, samples)
 
 
 @pytest.mark.parametrize("d, n", [(16, 3), (8, 4)])
@@ -383,6 +390,25 @@ def test_mc_memory_of_the_moment_kernel(d, n):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("d, n, bound", [(4, 2, 1_397_556), (8, 3, 3_522_728)])
+def test_mc_memory_of_a_whole_call(d, n, bound):
+    # the bench's MC shapes at 10^5 samples: each block's exponentials are
+    # written once, laid out (level, batch, eigenvalue, sample), and exp
+    # runs in place. The bounds are the peaks, in bytes, of the layout before
+    # it, an einsum exponent grid (level, sample, eigenvalue) and exp into a
+    # fresh array; this one peaks at 1,267,996 and 2,606,496 bytes
+    gen = np.random.default_rng(60)
+    x = random_hermitian(gen, d)
+    dirs = [random_hermitian(gen, d) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        exp_derivative_mc(x, dirs, samples=100000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_simplex_volume_reference_values():
