@@ -122,12 +122,14 @@ def exp_derivative_dd(x, dirs, scale=1.0):
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
 
 
-def _real_gemm(a, w):
-    """a @ w for a complex w whose last axis is contiguous: one real GEMM on
-    w's float64 view when a is real, as the exponentials of a real scale are."""
+def _real_gemm(a, w, out=None):
+    """a @ w, into out if given, for a complex w whose last axis is contiguous:
+    one real GEMM on w's (and out's) float64 view when a is real, as the
+    exponentials of a real scale are."""
     if a.dtype == np.complex128:
-        return a @ w
-    return (a @ w.view(np.float64)).view(np.complex128)
+        return np.matmul(a, w, out=out)
+    real = None if out is None else out.view(np.float64)
+    return np.matmul(a, w.view(np.float64), out=real).view(np.complex128)
 
 
 def _mc_weights(dirs_eig):
@@ -186,21 +188,19 @@ def _mc_sum(ex, terms):
     n, ex = ex.shape[0] - 1, np.ascontiguousarray(ex.swapaxes(2, 3))
     k, s, d = ex.shape[1:]
     outer = ex[2][..., :, None] * ex[0][..., None, :]
-    y = 0
+    # one buffer for every pair's F and, at n = 4, R: fresh arrays per pair
+    # are returned to the OS and faulted back in per pair in a fresh process
+    buf, y = np.empty((n - 2, k, s, d * d), dtype=np.complex128), 0
     for p, q in terms:
-        f = _real_gemm(ex[1], p.reshape(d, -1)).reshape(k, s, d, d)
+        f = _real_gemm(ex[1], p.reshape(d, -1), buf[0]).reshape(k, s, d, d)
         f *= outer
         if n == 3:
             g = _real_gemm(ex[3].swapaxes(1, 2), f.reshape(k, s, -1)).reshape(k, d, d, d)
             y = y + (q.T[:, None, :] @ g)[:, :, 0].swapaxes(1, 2)
-            # freed before the next pair allocates its own: with two alive,
-            # the heap is trimmed and faulted back in on every call
-            del f, g
         else:
-            r = _real_gemm(ex[3], q.reshape(d, -1)).reshape(k, s, d, d)
+            r = _real_gemm(ex[3], q.reshape(d, -1), buf[1]).reshape(k, s, d, d)
             r *= ex[4][..., None, :]
             y = y + f.reshape(k, -1, d).swapaxes(1, 2) @ r.reshape(k, -1, d)
-            del f, r
     return y if n == 3 else y * factorial(n)
 
 

@@ -398,7 +398,7 @@ def test_mc_memory_of_a_whole_call(d, n, bound):
     # written once, laid out (level, batch, eigenvalue, sample), and exp
     # runs in place. The bounds are the peaks, in bytes, of the layout before
     # it, an einsum exponent grid (level, sample, eigenvalue) and exp into a
-    # fresh array; this one peaks at 1,267,996 and 2,606,496 bytes
+    # fresh array; this one peaks at 1,170,540 and 2,476,200 bytes
     gen = np.random.default_rng(60)
     x = random_hermitian(gen, d)
     dirs = [random_hermitian(gen, d) for _ in range(n)]
