@@ -177,14 +177,15 @@ def _mc_sum(ex, terms):
     """The subset kernel, for n = 3 and 4 where _mc_moment's tensor costs
     more: the same per-batch sums, ex (level, batch, eigenvalue, sample),
     copied once to (level, batch, sample, eigenvalue), as its GEMMs put the
-    samples on the rows. terms holds one (P, Q) per pair of directions k < l: P[i, m, a] =
-    (V_k[a, i] V_l[i, m] + V_l[a, i] V_k[i, m]) / n!, and Q the last direction
-    (n = 3) or the other pair's P as Q[j, m, c] (n = 4). Per sample, F[m, a] =
-    ex_0[a] sum_i ex_1[i] P[i, m, a] ex_2[m]. At n = 3 one GEMM over the sample
-    axis joins ex_3, G[c, m, a] = sum_s ex_3[s, c] F[s, m, a], and then the
-    last direction, Y[a, c] = sum_m G[c, m, a] Q[m, c]. At n = 4, R[m, c] =
-    sum_j ex_3[j] Q[j, m, c] ex_4[c], and one GEMM over (sample, m) reading F
-    transposed joins them: Y = n! F^T R, as both halves carry 1 / n!."""
+    samples on the rows. terms holds one (P, Q) per pair of directions
+    k < l: P[i, m, a] = (V_k[a, i] V_l[i, m] + V_l[a, i] V_k[i, m]) / n!, and
+    Q the last direction (n = 3) or the other pair's P as Q[j, m, c]
+    (n = 4). Per sample, F[m, a] = ex_0[a] sum_i ex_1[i] P[i, m, a] ex_2[m].
+    At n = 3 one GEMM over the sample axis joins ex_3, G[c, m, a] =
+    sum_s ex_3[s, c] F[s, m, a], and then the last direction, Y[a, c] =
+    sum_m G[c, m, a] Q[m, c]. At n = 4, R[m, c] = sum_j ex_3[j] Q[j, m, c]
+    ex_4[c], and one GEMM over (sample, m) reading F transposed joins them:
+    Y = n! F^T R, as both halves carry 1 / n!."""
     n, ex = ex.shape[0] - 1, np.ascontiguousarray(ex.swapaxes(2, 3))
     k, s, d = ex.shape[1:]
     outer = ex[2][..., :, None] * ex[0][..., None, :]
