@@ -35,9 +35,8 @@ EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
 SIMPLEX_MAX_N = 8
 EXP_ARG_LIMIT = 700.0
-# MC: the moment kernel's largest d^(n+1) at b = 256 samples a batch (below, times
-# sqrt(b / 256), where the two kernels' measured costs cross), and L, R and M
-# entries per moment call (1 MB real), to keep its GEMMs in cache
+# MC: the moment kernel's largest d^(n+1), and L, R and M entries per moment call
+# (1 MB real), to keep its GEMMs in cache
 MC_MOMENT_ENTRIES = 1 << 16
 MC_GROUP_ENTRIES = 1 << 17
 
@@ -214,10 +213,10 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     rows, and its exponentials exp(z t_j lam) are written once, laid out
     (level, batch, eigenvalue, sample), with exp taken in place. Its whole
     batches, then its partial batch, go to _mc_moment where d^(n+1) <=
-    MC_MOMENT_ENTRIES sqrt(b / 256), else to _mc_sum, and the block is
-    merged by Chan's parallel update. std_error is the batch-means estimate
-    sqrt(sum_k n_k |m_k - m|^2 / ((K - 1) N)) over the K batches, per sample
-    for b = 1. Bit-reproducible; threads is ignored."""
+    MC_MOMENT_ENTRIES, else to _mc_sum, and the block is merged by Chan's
+    parallel update. std_error is the batch-means estimate sqrt(sum_k n_k
+    |m_k - m|^2 / ((K - 1) N)) over the K batches, per sample for b = 1.
+    Bit-reproducible; threads is ignored."""
     h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
     samples = int(samples)
@@ -228,7 +227,7 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     d, u = h.dim, dec.vectors
     dirs_eig = to_eigenbasis(u, dirs)
     batch = min(256, max(1, samples // 64))
-    moment = n < 3 or d ** (n + 1) <= MC_MOMENT_ENTRIES * (batch / 256) ** 0.5
+    moment = n < 3 or d ** (n + 1) <= MC_MOMENT_ENTRIES
     if moment:
         kernel, w = _mc_moment, _mc_weights(dirs_eig) if n else None
         entries = batch * (d ** ((n + 1) // 2) + d ** (n // 2 + 1)) + d ** (n + 1)

@@ -350,11 +350,9 @@ class _Chosen(Exception):
 
 
 def test_mc_kernel_by_shape(monkeypatch):
-    # the moment kernel wherever its tensor has d^(n+1) <= 2^16 sqrt(b / 256)
-    # entries. At 10^5 samples, b = 256: the bench's shapes (d in {4, 8}, n in
-    # {2, 3}) and every cap shape but (32, 3), (16, 4) and (32, 4), where the
-    # subset kernel runs. At 2000 samples, b = 31, the bound is about 22800,
-    # so (16, 3) and (8, 4) take the subset kernel too
+    # the moment kernel wherever its tensor has d^(n+1) <= 2^16 entries: the
+    # bench's shapes (d in {4, 8}, n in {2, 3}) and every cap shape but
+    # (32, 3), (16, 4) and (32, 4), where the subset kernel runs
     def chosen(name):
         def stop(*args):
             raise _Chosen(name)
@@ -364,17 +362,14 @@ def test_mc_kernel_by_shape(monkeypatch):
     monkeypatch.setattr(expderiv, "_mc_moment", chosen("moment"))
     monkeypatch.setattr(expderiv, "_mc_sum", chosen("subset"))
     gen = np.random.default_rng(57)
-    caps = {(32, 3), (16, 4), (32, 4)}
-    subset = {100000: caps, 2000: caps | {(16, 3), (8, 4)}}
     for d in (4, 8, 16, 32):
         x = random_hermitian(gen, d)
         for n in range(5):
             dirs = [random_hermitian(gen, d) for _ in range(n)]
-            for samples, shapes in subset.items():
-                with pytest.raises(_Chosen) as took:
-                    exp_derivative_mc(x, dirs, samples=samples, seed=1)
-                want = "subset" if (d, n) in shapes else "moment"
-                assert str(took.value) == want, (d, n, samples)
+            with pytest.raises(_Chosen) as took:
+                exp_derivative_mc(x, dirs, samples=100000, seed=1)
+            subset = (d, n) in ((32, 3), (16, 4), (32, 4))
+            assert str(took.value) == ("subset" if subset else "moment"), (d, n)
 
 
 @pytest.mark.parametrize("d, n", [(16, 3), (8, 4)])
@@ -398,7 +393,9 @@ def test_mc_memory_of_a_whole_call(d, n, bound):
     # written once, laid out (level, batch, eigenvalue, sample), and exp
     # runs in place. The bounds are the peaks, in bytes, of the layout before
     # it, an einsum exponent grid (level, sample, eigenvalue) and exp into a
-    # fresh array; this one peaks at 1,170,540 and 2,476,200 bytes
+    # fresh array; this one peaks at 1,170,540 and 2,476,200 bytes. All four
+    # were recorded with numpy 2.4.6 on CPython 3.11, whose temporaries they
+    # include, so another numpy may need them measured again
     gen = np.random.default_rng(60)
     x = random_hermitian(gen, d)
     dirs = [random_hermitian(gen, d) for _ in range(n)]
