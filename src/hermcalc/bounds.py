@@ -9,30 +9,30 @@ tuples. Two upper bounds are computed:
     smooth g.
   * power_bound: the exact k! / (k-n)! r^(k-n) bound for g(t) = t^k.
 
-probe_seminorm certifies a lower bound by evaluating the derivative at
-random Hermitian points (boundary-biased) and directions, preceded by two
-deterministic commuting candidates (x = +-r times identity with identity
-directions, where these bounds are tight) and followed by an annealed
-hill climb on the best candidate.
-
-The candidates are evaluated in stacks through the one derivative core:
-per stack one eigh of the (B, d, d) points, one divided-difference table
-over every point's ascending index tuples, one fold with a leading batch
-axis, and one batch of eigenvalues for the numerators and the direction
-norms together. Each point is decomposed once: its norm is its largest
-|eigenvalue|, and the scaling that puts it in the ball scales its
-eigenvalues alike. The norm of a Hermitian matrix is its largest
-|eigenvalue|; the derivatives of a g that is not real-valued are not
-Hermitian, and their norms are largest singular values, in a call of
-their own. A stack holds at most divided.SLAB_ENTRIES chain-tensor
-entries B d^(n+1), so d <= 8, n <= 2 takes up to 128 candidates at once,
-d = 32, n = 4 one, and each stack's tensor is contracted in one block.
-The best candidate is the first of the largest in candidate order, as
-one at a time would find it, and each evaluation gives the same bits on
-a stack as alone. The climb steps are evaluated speculatively in
-stacks of up to _stack_size(d, n) from the current state; the first that
-beats it is accepted and the climb goes on from the step after it, so the
-result equals that of the climb run one step after the other.
+probe_seminorm certifies a lower bound by evaluating the derivative along
+one candidate sequence, its caps checked before any work: two commuting
+candidates (x = +-r times identity with identity directions, where these
+bounds are tight), then random Hermitian points (boundary-biased) and
+directions, then an annealed hill climb on the best candidate. A point is
+one matrix and its n directions, (n + 1, d, d); every candidate and climb
+state goes through one placement step, _place, which decomposes the
+matrix once, scales it and its eigenvalues to a target norm (the norm of
+a Hermitian matrix is its largest |eigenvalue|) and normalises the
+directions. The sequence is evaluated in stacks through the one
+derivative core: one divided-difference table over every point's
+ascending index tuples, one fold with a leading batch axis, and one batch
+of eigenvalues for the numerators and the direction norms together; the
+derivatives of a g that is not real-valued are not Hermitian, and their
+norms are largest singular values. A stack holds at most
+divided.SLAB_ENTRIES chain-tensor entries B d^(n+1), so d <= 8, n <= 2
+takes up to 128 candidates at once and d = 32, n = 4 one. Each evaluation
+gives the same bits on a stack as alone, so the best candidate, the first
+of the largest in candidate order, is the one a probe one at a time finds;
+its point is the climb's first state. The climb steps are evaluated
+speculatively in stacks of up to _stack_size(d, n) from the current state;
+the first that beats it is accepted and the climb goes on from the step
+after it, so the result equals that of the climb run one step after the
+other.
 """
 
 import io
@@ -44,7 +44,7 @@ import numpy as np
 from . import divided, rng
 from .divided import derivative_matrix
 from .errors import OverflowRangeError, ParseError, check_finite
-from .expderiv import check_derivative_args
+from .expderiv import check_derivative_caps
 from .functions import MonomialFunction
 from .linalg import eig
 from .spectral import simpson_weights
@@ -155,33 +155,35 @@ def _stack_size(d, n):
     return max(1, divided.SLAB_ENTRIES // d ** (n + 1))
 
 
-def _candidate_stacks(n, r, d, seed, budget):
-    """The candidates in order, as stacks of points (B, d, d), their
-    ascending eigenvalues (B, d) and eigenvectors (B, d, d), and unit-norm
-    directions (B, n, d, d): first the two commuting ones, then the random
-    ones, drawn per index, _stack_size(d, n) at a time."""
-    eye, step = np.eye(d, dtype=np.complex128), _stack_size(d, n)
-    xs, dirs = np.stack([r * eye, -r * eye]), np.broadcast_to(eye, (2, n, d, d)).copy()
-    for lo in range(0, 2, step):
-        dec = eig(xs[lo : lo + step])
-        yield xs[lo : lo + step], dec.eigenvalues, dec.vectors, dirs[lo : lo + step]
-    for lo in range(0, budget, step):
-        hs, targets, vs = [], [], []
-        for i in range(lo, min(lo + step, budget)):
-            gen_x = rng.generator(seed, rng.STREAM_PROBE_X, i)
-            hs.append(rng.random_hermitian(d, gen_x))
-            boundary = gen_x.random() < PROBE_BOUNDARY_FRACTION
-            targets.append(r if boundary else r * gen_x.random())
-            gen_v = rng.generator(seed, rng.STREAM_PROBE_DIRS, i)
-            vs.append(rng.random_hermitians(n, d, gen_v))
-        hs = np.array(hs)
-        vs = np.array(vs)
-        dec, vn = eig(hs), _norms(vs)
-        nrm = np.abs(dec.eigenvalues).max(axis=-1)
-        scale = np.divide(targets, nrm, out=np.zeros(len(hs)), where=nrm > 0)
-        unit = vs / np.where(vn > 0, vn, 1.0)[..., None, None]
-        dirs = np.where((vn > 0)[..., None, None], unit, eye)
-        yield hs * scale[:, None, None], dec.eigenvalues * scale[:, None], dec.vectors, dirs
+def _place(points, fallback, r, targets=None):
+    """Put points (B, n + 1, d, d) into the ball in place: scale each matrix
+    and its eigenvalues to its target norm (targets, else min(norm, r), so
+    norm / norm = 1 inside the ball) and normalise the directions, a zero
+    one replaced by fallback's. Returns the eigenvalues and vectors."""
+    dec = eig(points[:, 0])
+    lam = dec.eigenvalues
+    norms = np.abs(lam).max(axis=-1)
+    targets = np.minimum(norms, r) if targets is None else targets
+    scale = np.divide(targets, norms, out=np.zeros(len(points)), where=norms > 0)
+    points[:, 0] *= scale[:, None, None]
+    lam *= scale[:, None]
+    vn = _norms(points[:, 1:])
+    unit = points[:, 1:] / np.where(vn > 0, vn, 1.0)[..., None, None]
+    points[:, 1:] = np.where((vn > 0)[..., None, None], unit, fallback)
+    return lam, dec.vectors
+
+
+def _candidate(n, r, eye, seed, j):
+    """Candidate j as a point (n + 1, d, d) and its target norm: first the
+    two commuting ones, +-r I with identity directions, then random ones,
+    candidate j - 2 drawn from its own cells of the probe streams."""
+    if j < 2:
+        return np.stack([(r, -r)[j] * eye] + [eye] * n), r
+    gen_x = rng.generator(seed, rng.STREAM_PROBE_X, j - 2)
+    h = rng.random_hermitian(len(eye), gen_x)
+    target = r if gen_x.random() < PROBE_BOUNDARY_FRACTION else r * gen_x.random()
+    gen_v = rng.generator(seed, rng.STREAM_PROBE_DIRS, j - 2)
+    return np.concatenate([h[None], rng.random_hermitians(n, len(eye), gen_v)]), target
 
 
 def _climb_perturbations(n, r, d, seed, steps):
@@ -225,42 +227,34 @@ def probe_seminorm(
         raise ParseError(
             "probe_seminorm: need n >= 0, finite r > 0, d >= 1, budget >= 0, climb_steps >= 0"
         )
-    eye = np.eye(d, dtype=np.complex128)
-    check_derivative_args(eye, [eye] * n)  # the order and dimension caps
+    check_derivative_caps(n, d)
     # a real-valued g has Hermitian derivatives, whose norms are eigenvalues;
     # the dtype of its values on real nodes, read off no nodes at all
     hermitian = np.isrealobj(g.derivatives(np.empty(0), 0, 0))
-    best = (-1.0, None, None)
-    for xs, lam, vectors, dirs in _candidate_stacks(n, r, d, seed, budget):
+    eye, size, total = np.eye(d, dtype=np.complex128), _stack_size(d, n), 2 + budget
+    value, state = -1.0, None
+    for lo in range(0, total, size):
+        drawn = [_candidate(n, r, eye, seed, j) for j in range(lo, min(lo + size, total))]
+        points = np.array([point for point, _ in drawn])
+        lam, vectors = _place(points, eye, r, [target for _, target in drawn])
         # a strict > in candidate order: ties and NaN keep the earlier one
-        for val, x, v in zip(_evaluate(g, lam, vectors, dirs, hermitian), xs, dirs):
-            if val > best[0]:
-                best = (val, x, v)
+        for val, point in zip(_evaluate(g, lam, vectors, points[:, 1:], hermitian), points):
+            if val > value:
+                value, state = val, point
 
     # The climb: step k adds its perturbation to the state (the point and
-    # its directions), scales the point back into the ball, normalizes the
-    # directions and is accepted when it beats the state's value. Steps
-    # k..k+m-1 are evaluated speculatively as one stack from the state; the
-    # first that beats it is the step the sequential climb accepts, and the
-    # ones after it are evaluated again from the new state.
-    value, x, dirs = best
-    state = np.concatenate([x[None], dirs])
+    # its directions), puts it into the ball and is accepted when it beats
+    # the state's value. Steps k..k+m-1 are evaluated speculatively as one
+    # stack from the state; the first that beats it is the step the
+    # sequential climb accepts, and the ones after it are evaluated again
+    # from the new state.
     deltas = _climb_perturbations(n, r, d, seed, climb_steps)
-    step, width, cap = 0, 2, _stack_size(d, n)
+    step, width = 0, 2
     while step < climb_steps:
-        m = min(width, cap, climb_steps - step)
+        m = min(width, size, climb_steps - step)
         cand = state + deltas[step : step + m]
-        dec = eig(cand[:, 0])
-        lam = dec.eigenvalues
-        norms = np.abs(lam).max(axis=-1)
-        over = norms > r
-        shrink = r / norms[over]
-        cand[over, 0] *= shrink[:, None, None]
-        lam[over] *= shrink[:, None]
-        vns = _norms(cand[:, 1:])
-        unit = cand[:, 1:] / np.where(vns > 0, vns, 1.0)[..., None, None]
-        cand[:, 1:] = np.where((vns > 0)[..., None, None], unit, state[1:])
-        vals = _evaluate(g, lam, dec.vectors, cand[:, 1:], hermitian)
+        lam, vectors = _place(cand, state[1:], r)
+        vals = _evaluate(g, lam, vectors, cand[:, 1:], hermitian)
         hits = np.flatnonzero(vals > value)  # strict, as in the candidate phase
         if hits.size:
             i = int(hits[0])
@@ -290,7 +284,9 @@ def seminorm_bound(g, n, r):
 
 
 def bound_report(g, n, r, d, budget=PROBE_DEFAULT_BUDGET, seed=0):
-    """Upper bound vs probed lower bound, as one report row."""
+    """Upper bound vs probed lower bound, as one report row; the probe's
+    caps are checked before the bound's work."""
+    check_derivative_caps(n, d)
     bound, method = seminorm_bound(g, n, r)
     est = probe_seminorm(g, n, r, d, budget=budget, seed=seed)
     return BoundReport(

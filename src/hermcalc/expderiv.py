@@ -68,6 +68,15 @@ def reference_simplex_volume(n):
     return 1.0 / factorial(n)
 
 
+def check_derivative_caps(n, d):
+    """The order and dimension caps of the derivative routes, checked
+    before any matrix is built: CapExceededError past either."""
+    if n > EXP_DERIV_MAX_N:
+        raise CapExceededError(f"derivative: order {n} exceeds cap {EXP_DERIV_MAX_N}")
+    if d > EXP_DERIV_MAX_DIM:
+        raise CapExceededError(f"derivative: dimension {d} exceeds cap {EXP_DERIV_MAX_DIM}")
+
+
 def check_derivative_args(x, dirs):
     """Argument check shared by the derivative routes.
 
@@ -77,10 +86,7 @@ def check_derivative_args(x, dirs):
     """
     h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
     n = len(dirs)
-    if n > EXP_DERIV_MAX_N:
-        raise CapExceededError(f"derivative: order {n} exceeds cap {EXP_DERIV_MAX_N}")
-    if h.dim > EXP_DERIV_MAX_DIM:
-        raise CapExceededError(f"derivative: dimension {h.dim} exceeds cap {EXP_DERIV_MAX_DIM}")
+    check_derivative_caps(n, h.dim)
     out = []
     for j, v in enumerate(dirs):
         try:

@@ -19,12 +19,10 @@ from .errors import ConvergenceError, ParseError
 HERMITIAN_REJECT_TOL = 1e-8
 
 
-def validate_matrix(matrix, name="matrix", stack=False):
-    """Coerce to a finite square complex128 ndarray, copying the input; with
-    stack, to a finite array of square matrices over its last two axes."""
+def validate_matrix(matrix, name="matrix"):
+    """Coerce to a finite square complex128 ndarray, copying the input."""
     arr = np.array(matrix, dtype=np.complex128)
-    ndim_ok = arr.ndim == 2 or (stack and arr.ndim > 2)
-    if not ndim_ok or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ParseError(f"{name}: expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ParseError(f"{name}: entries must be finite (no NaN/Inf)")
@@ -102,11 +100,8 @@ def eig(x):
 
 
 def op_norm(m):
-    """Operator (spectral) norm, the largest singular value: a float for
-    one matrix, an array over the leading axes of a stack of matrices."""
-    arr = validate_matrix(m, stack=True)
-    norms = np.linalg.norm(arr, 2, axis=(-2, -1))
-    return float(norms) if arr.ndim == 2 else norms
+    """Operator (spectral) norm of one matrix, its largest singular value."""
+    return float(np.linalg.norm(validate_matrix(m), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,12 @@ from hermcalc.bounds import (
     reports_to_csv,
     sobolev_bound,
 )
-from hermcalc.errors import OrderSupportError, OverflowRangeError, ParseError
+from hermcalc.errors import (
+    CapExceededError,
+    OrderSupportError,
+    OverflowRangeError,
+    ParseError,
+)
 from hermcalc.functions import (
     ExpFunction,
     GaussianFunction,
@@ -145,7 +151,7 @@ def test_hermitian_norms_match_the_svd():
     gen = np.random.default_rng(17)
     shifted = _hermitian(gen, 4, 5, 5)
     # shifted down past its spectrum: the largest |eigenvalue| is the most negative one
-    shifted -= 2 * op_norm(shifted)[:, None, None] * np.eye(5)
+    shifted -= 2 * np.linalg.norm(shifted, 2, axis=(-2, -1))[:, None, None] * np.eye(5)
     cases = [
         _hermitian(gen, 6, 6),  # one matrix
         _hermitian(gen, 7, 4, 4),
@@ -159,7 +165,7 @@ def test_hermitian_norms_match_the_svd():
     ]
     assert np.all(np.linalg.eigvalsh(shifted)[..., -1] < 0)
     for m in cases:
-        got, want = bounds._norms(m), op_norm(m)
+        got, want = bounds._norms(m), np.linalg.norm(m, 2, axis=(-2, -1))
         assert np.shape(got) == np.shape(want)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
@@ -208,7 +214,8 @@ def _count_solves(monkeypatch):
 @pytest.mark.parametrize("g", PROBE_KINDS, ids=lambda g: g.label())
 def test_probe_decomposes_each_point_once(g, monkeypatch):
     seen, points = _count_solves(monkeypatch)
-    probe_seminorm(g, 2, 1.0, 4, budget=8, seed=5)
+    n = 2
+    probe_seminorm(g, n, 1.0, 4, budget=8, seed=5)
     evaluated = sum(points)
     assert evaluated >= 2 + 8 + bounds.PROBE_CLIMB_STEPS
     assert seen["eigh"] == evaluated
@@ -216,9 +223,9 @@ def test_probe_decomposes_each_point_once(g, monkeypatch):
     # a real g's derivatives are Hermitian: no SVD; a complex g's take one each
     real = not isinstance(g, PolynomialFunction)
     assert seen["svd"] == (0 if real else evaluated)
-    # eigvalsh: the n unit directions of every point and a real g's derivative,
-    # and the n drawn or perturbed directions of all but the two commuting points
-    assert seen["eigvalsh"] == evaluated * (2 + real) + 2 * (evaluated - 2)
+    # eigvalsh: every point's n drawn or perturbed directions when it is placed,
+    # then its n unit directions and a real g's derivative when it is evaluated
+    assert seen["eigvalsh"] == evaluated * (2 * n + real)
 
 
 def test_bound_report_monomial_row():
@@ -308,6 +315,21 @@ def test_probe_stack_size_bounds_memory(monkeypatch):
     assert bounds._stack_size(4, 2) == 1
     b = probe_seminorm(GaussianFunction(), 2, 1.0, 4, budget=20, seed=3, climb_steps=5)
     assert a.value == b.value and _witness_digest(a) == _witness_digest(b)
+
+
+@pytest.mark.parametrize("route", [probe_seminorm, bound_report], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n, d, cap", [(2000, 2, "order 2000"), (1, 1000, "dimension 1000")])
+def test_probe_caps_come_before_any_work(route, n, d, cap):
+    # the Sobolev bound alone holds about 16 KB per order, and a d x d
+    # complex matrix 16 d^2 bytes: 16 MB at d = 1000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=f"derivative: {cap} exceeds cap"):
+            route(GaussianFunction(), n, 1.0, d, budget=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_probe_rejects_negative_climb_steps():
@@ -404,8 +426,8 @@ def test_speculative_climb_equals_sequential_climb(kind, cap, monkeypatch):
             )
             got = (est.value.hex(), _witness_digest(est), est.samples_used)
             assert got == (*digests[steps], 2 + 4 + steps), (d, n, seed, steps)
-            # the candidates take -(-2 // size) - (-4 // size) stacks, the climb the rest
-            climb = stacks[-(-2 // size) - (-4 // size) :]
+            # the 2 + 4 candidates take -(-(2 + 4) // size) stacks, the climb the rest
+            climb = stacks[-(-(2 + 4) // size) :]
             assert climb == [m for m, _ in _windows(accepted, steps, size)], (d, n, seed, steps)
 
 

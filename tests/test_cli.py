@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -561,6 +562,24 @@ def test_polynomial_degree_past_cap_exits_4_without_artifact(mats, tmp_path, cap
     }[command]
     assert run([command, "--function", spec] + flags, tmp_path) == (4, None)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, cap", [(["--order", "2000", "--dim", "2"], "order 2000"),
+                                        (["--order", "1", "--dim", "1000"], "dimension 1000")])
+def test_probe_past_its_caps_exits_4_before_any_work(tmp_path, capsys, flags, cap):
+    # the order cap comes before the Sobolev bound, which would overflow and
+    # exit 3, and the dimension cap before any d x d matrix is built
+    argv = ["probe", "--function", "gaussian", "--radius", "1", "--samples", "2"] + flags
+    tracemalloc.start()
+    try:
+        result = run(argv, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (4, None)
+    err = capsys.readouterr().err
+    assert f"derivative: {cap} exceeds cap" in err and "Traceback" not in err
+    assert peak < 2**20
 
 
 def test_monomial_at_the_degree_cap_differentiates(tmp_path):
