@@ -11,13 +11,13 @@ the tensor of divided differences over eigenvalue chains:
     T[i0, in] = sum over middle indices of
         V1[i0, i1] ... Vn[i(n-1), in] * g[lam_i0, ..., lam_in]
 
-summed over all orderings of the directions. derivative_matrix writes, for
+summed over all orderings of the directions. derivative_matrix forms, for
 each direction V_k, the paths of the other n - 1 directions summed over
-their orderings into one array, n d^n entries per point; one batched matmul
-contracts them with the tensor, and V_k closes each path. The tensor,
-(B,) + (d,)^(n+1), is never built whole: it is gathered from the table and
-contracted one block of leading indices at a time, a block holding at most
-SLAB_ENTRIES entries (chain_tensor gathers it whole).
+their orderings (from n = 4 for one block of leading indices at a time);
+one batched matmul contracts them with the tensor, and V_k closes each
+path. The tensor, (B,) + (d,)^(n+1), is never built whole: it is gathered
+from the table and contracted one block of leading indices at a time, a
+block holding at most SLAB_ENTRIES entries (chain_tensor gathers it whole).
 
 One Newton table computes those values. It runs over ascending index
 tuples into the rows of an array t of nodes: ascending eigenvalues, or
@@ -111,6 +111,12 @@ def _taylor(g, nodes, j, terms, dtype):
     return acc
 
 
+def _longer(tuples, d):
+    """Each ascending row extended by every v from its last index to d - 1, in order."""
+    parent, last = np.nonzero(np.arange(d) >= tuples[:, -1:])
+    return np.concatenate([tuples.take(parent, axis=0), last[:, None]], axis=1)
+
+
 def _newton_table(g, t, n):
     """Divided differences of g over every ascending (n+1)-index tuple into
     the rows of t (B, d), by the module rule. Level 0 is g at every node;
@@ -130,10 +136,7 @@ def _newton_table(g, t, n):
     for j in range(1, n + 1):
         # gathers only: the top level's map, d^(n+1) entries, is never built
         sym, ins = ins.T[sym], np.empty((d, len(tuples)), dtype=np.intp)
-        tuples = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d), j + 1)),
-            dtype=np.intp,
-        ).reshape(-1, j + 1)
+        tuples = _longer(tuples, d)
         # parents[k] = the rank of each tuple without its k-th index
         parents = [sym[tuple(tuples[:, i] for i in range(j + 1) if i != k)] for k in range(j + 1)]
         for k, parent in enumerate(parents):
@@ -180,6 +183,15 @@ def to_eigenbasis(vectors, dirs):
     return u.conj().swapaxes(-1, -2) @ dirs @ u
 
 
+def _orderings(w, skip):
+    """V_j1[i0, i1] ... V_jm[i(m-1), im] summed over the orderings of the m directions
+    w[:, j], j not in skip; shape (B, d, d^(m-1), d), [z, i0, ..., im]."""
+    b, d = w.shape[0], w.shape[-1]
+    chain = lambda p, v: (p[..., None] * v[:, None]).reshape(b, -1, d)
+    orders = itertools.permutations([w[:, j] for j in range(w.shape[1]) if j not in skip])
+    return sum(reduce(chain, order) for order in orders).reshape(b, d, -1, d)
+
+
 def derivative_matrix(lam, vectors, dirs, g):
     """D^n g(x)[dirs] at every point x = U diag(lam) U* of a stack: lam
     (B, d) ascending (or such rows times a complex z, for exp(z x)),
@@ -196,25 +208,30 @@ def derivative_matrix(lam, vectors, dirs, g):
         core = w[:, 0] * chain_tensor(lam, n, g)
     else:
         newton = _newton_table(g, lam, n)
-        # paths[:, a, c, k, m]: summed over the orderings of every direction
-        # but V_k, V[a, i1] V[i1, i2] ... V[i(n-2), c] with middle indices m
-        # (expderiv._mc_weights sums over orderings alike)
-        paths = np.empty((b, d, d, n, d ** (n - 2)), dtype=np.complex128)
-        for k in range(n):
-            others = [w[:, j] for j in range(n) if j != k]
-            chains = (
-                reduce(lambda p, v: (p[..., None] * v[:, None]).reshape(b, -1, d), order)
-                for order in itertools.permutations(others)
-            )
-            paths[:, :, :, k] = sum(chains).reshape(b, d, -1, d).swapaxes(2, 3)
+        # paths[:, a, c, k, m]: V[a, i1] ... V[i(n-2), c], middle indices m, summed over the orderings
+        # of all but V_k; from n = 4 per block with half the multiplies, sum_f V_f[a, i1] tails[{k, f}]
+        if n < 4:
+            whole = np.empty((b, d, d, n, d ** (n - 2)), dtype=np.complex128)
+            for k in range(n):
+                whole[:, :, :, k] = _orderings(w, {k}).swapaxes(2, 3)
+        else:
+            pairs = itertools.combinations(range(n), 2)
+            tails = {frozenset(p): _orderings(w, p).transpose(0, 3, 1, 2)[:, None] for p in pairs}
+            terms = lambda h, k: (h[:, f] * tails[frozenset((k, f))] for f in range(n) if f != k)
         # V_k[c, b] closes X[z, a, c, k, b] = (paths @ T)[z, a, c, k, b], laid
         # out [z, (c, k), b]; in place, so the close adds no array of X's size
         ends = w.transpose(0, 2, 1, 3).reshape(b, d * n, d)
         core, step = np.empty((b, d, d), dtype=np.complex128), max(1, SLAB_ENTRIES // (b * d**n))
         for a in (slice(a0, a0 + step) for a0 in range(0, d, step)):
+            if n < 4:
+                paths = whole[:, a]
+            else:
+                heads = w[:, :, a, None, :, None]
+                paths = np.stack([reduce(np.add, terms(heads, k)) for k in range(n)], axis=3)
+                paths = paths.reshape(b, -1, d, n, d ** (n - 2))
             # the block is symmetric, so T[z, a, m, c, b] reads as [z, a, c, m, b]
             t = _gather(*newton, a).reshape(b, -1, d, d ** (n - 2), d)
-            x = (paths[:, a] @ t).reshape(b, -1, d * n, d)
+            x = (paths @ t).reshape(b, -1, d * n, d)
             x *= ends[:, None]
             core[:, a] = x.sum(axis=2)
     return vectors @ core @ vectors.conj().swapaxes(-1, -2)

@@ -93,9 +93,12 @@ class GaussianFunction(ScalarFunction):
     def derivatives(self, t, j, q):
         t = np.asarray(t, dtype=float)
         ders = [np.zeros_like(t), np.exp(-0.5 * t * t)]
-        for m in range(j + q):
-            ders.append(-t * ders[-1] - m * ders[-2])
-        return np.stack(ders[j + 1 :], axis=-1)
+        # past the float range the orders turn inf or nan, which callers check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(j + q):
+                ders.append(-t * ders[-1] - m * ders[-2])
+                del ders[: m < j]  # below order j only the last two orders are kept
+        return np.stack(ders[1:], axis=-1)
 
 
 class PolynomialFunction(ScalarFunction):

@@ -582,6 +582,24 @@ def test_probe_past_its_caps_exits_4_before_any_work(tmp_path, capsys, flags, ca
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("order", [500, 2000])
+def test_bound_past_the_float_range_exits_3_without_warnings(tmp_path, capsys, order):
+    # the gaussian's orders overflow near order 300 at t = 0; the recursion
+    # keeps two orders, so the refusal holds no array per order
+    argv = ["bound", "--function", "gaussian", "--order", str(order), "--radius", "1"]
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(argv, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (3, None)
+    assert capsys.readouterr().err == "error: sobolev_bound: the bound overflows\n"
+    assert peak < 2**20
+
+
 def test_monomial_at_the_degree_cap_differentiates(tmp_path):
     x, v = tmp_path / "x.json", tmp_path / "v.json"
     save_matrix(np.diag([0.5, -0.25]).astype(complex), x)
