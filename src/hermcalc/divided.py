@@ -11,13 +11,15 @@ the tensor of divided differences over eigenvalue chains:
     T[i0, in] = sum over middle indices of
         V1[i0, i1] ... Vn[i(n-1), in] * g[lam_i0, ..., lam_in]
 
-summed over all orderings of the directions. derivative_matrix forms, for
-each direction V_k, the paths of the other n - 1 directions summed over
-their orderings (from n = 4 for one block of leading indices at a time);
-one batched matmul contracts them with the tensor, and V_k closes each
+summed over all orderings of the directions. derivative_matrix forms, per
+direction V_k, the paths of the others over their orderings by one rule at
+every n >= 2: the paths of a set S from rows a sum V_f[a, i1] times the
+paths of S without f (over all rows, formed once per call) over f in S.
+One batched matmul contracts them with the tensor, and V_k closes each
 path. The tensor, (B,) + (d,)^(n+1), is never built whole: it is gathered
-from the table and contracted one block of leading indices at a time, a
-block holding at most SLAB_ENTRIES entries (chain_tensor gathers it whole).
+from the table, and the paths formed and contracted, one block of leading
+indices a at a time, a block holding at most SLAB_ENTRIES entries
+(chain_tensor gathers it whole).
 
 One Newton table computes those values. It runs over ascending index
 tuples into the rows of an array t of nodes: ascending eigenvalues, or
@@ -52,7 +54,6 @@ up to max_order where w <= sqrt(eps) (1 + |c|): there cancellation in the
 recurrence would cost more than the truncation.
 """
 
-import itertools
 from functools import reduce
 from math import factorial
 
@@ -183,13 +184,20 @@ def to_eigenbasis(vectors, dirs):
     return u.conj().swapaxes(-1, -2) @ dirs @ u
 
 
-def _orderings(w, skip):
-    """V_j1[i0, i1] ... V_jm[i(m-1), im] summed over the orderings of the m directions
-    w[:, j], j not in skip; shape (B, d, d^(m-1), d), [z, i0, ..., im]."""
+def _paths(w, rest, rows, inner):
+    """Paths V_f1[a, i1] ... V_fm[i(m-1), c] over the orderings of the directions
+    w[:, f], f in the ascending tuple rest, from the rows a in rows: (B, len(a), d,
+    d^(m-1)), [z, a, c, (i1, ..., i(m-1))]. The sum over f in rest of V_f[a, i1] times
+    the paths of rest without f over all rows, which inner keeps by their tuple."""
+    if len(rest) == 1:
+        return w[:, rest[0], rows, :, None]
     b, d = w.shape[0], w.shape[-1]
-    chain = lambda p, v: (p[..., None] * v[:, None]).reshape(b, -1, d)
-    orders = itertools.permutations([w[:, j] for j in range(w.shape[1]) if j not in skip])
-    return sum(reduce(chain, order) for order in orders).reshape(b, d, -1, d)
+    lefts = [rest[:i] + rest[i + 1 :] for i in range(len(rest))]
+    # V_f[a, i1] times the paths from i1, kept read as [z, 1, c, i1, ...]
+    formed = {left: _paths(w, left, slice(None), inner) for left in lefts if left not in inner}
+    inner.update({left: p.swapaxes(1, 2)[:, None] for left, p in formed.items()})
+    terms = (w[:, f, rows, None, :, None] * inner[left] for f, left in zip(rest, lefts))
+    return reduce(np.add, terms).reshape(b, -1, d, d ** (len(rest) - 1))
 
 
 def derivative_matrix(lam, vectors, dirs, g):
@@ -207,28 +215,15 @@ def derivative_matrix(lam, vectors, dirs, g):
     elif n == 1:
         core = w[:, 0] * chain_tensor(lam, n, g)
     else:
-        newton = _newton_table(g, lam, n)
-        # paths[:, a, c, k, m]: V[a, i1] ... V[i(n-2), c], middle indices m, summed over the orderings
-        # of all but V_k; from n = 4 per block with half the multiplies, sum_f V_f[a, i1] tails[{k, f}]
-        if n < 4:
-            whole = np.empty((b, d, d, n, d ** (n - 2)), dtype=np.complex128)
-            for k in range(n):
-                whole[:, :, :, k] = _orderings(w, {k}).swapaxes(2, 3)
-        else:
-            pairs = itertools.combinations(range(n), 2)
-            tails = {frozenset(p): _orderings(w, p).transpose(0, 3, 1, 2)[:, None] for p in pairs}
-            terms = lambda h, k: (h[:, f] * tails[frozenset((k, f))] for f in range(n) if f != k)
+        newton, inner = _newton_table(g, lam, n), {}
         # V_k[c, b] closes X[z, a, c, k, b] = (paths @ T)[z, a, c, k, b], laid
         # out [z, (c, k), b]; in place, so the close adds no array of X's size
         ends = w.transpose(0, 2, 1, 3).reshape(b, d * n, d)
         core, step = np.empty((b, d, d), dtype=np.complex128), max(1, SLAB_ENTRIES // (b * d**n))
         for a in (slice(a0, a0 + step) for a0 in range(0, d, step)):
-            if n < 4:
-                paths = whole[:, a]
-            else:
-                heads = w[:, :, a, None, :, None]
-                paths = np.stack([reduce(np.add, terms(heads, k)) for k in range(n)], axis=3)
-                paths = paths.reshape(b, -1, d, n, d ** (n - 2))
+            # paths[z, a, c, k, m]: V[a, i1] ... V[i(n-2), c] over the orderings of all but V_k
+            others = (tuple(f for f in range(n) if f != k) for k in range(n))
+            paths = np.stack([_paths(w, rest, a, inner) for rest in others], axis=3)
             # the block is symmetric, so T[z, a, m, c, b] reads as [z, a, c, m, b]
             t = _gather(*newton, a).reshape(b, -1, d, d ** (n - 2), d)
             x = (paths @ t).reshape(b, -1, d * n, d)

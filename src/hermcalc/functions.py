@@ -98,7 +98,11 @@ class GaussianFunction(ScalarFunction):
             for m in range(j + q):
                 ders.append(-t * ders[-1] - m * ders[-2])
                 del ders[: m < j]  # below order j only the last two orders are kept
-        return np.stack(ders[1:], axis=-1)
+                # an order with no finite value has none after it: NaN for the rest
+                if (m + 1) % 64 == 0 and not np.isfinite(ders[-1]).any():
+                    ders += [np.full_like(t, np.nan)] * min(q + 1, j + q - m - 1)
+                    break
+        return np.stack(ders[-(q + 1) :], axis=-1)
 
 
 class PolynomialFunction(ScalarFunction):

@@ -294,6 +294,7 @@ GOLDEN_EDGES = {
     ("sin", 4, 2, 1, 50): ("0x1.feb7a9b2c6d8bp-1", "5de889478e2d5611", 53),
     ("gaussian", 3, 1, 1, 0): ("0x1.f2aa8b6b380b0p-2", "b7248a4346a426be", 3),
     ("sin", 5, 3, 0, 0): ("0x1.21bd54fc5f9a6p-4", "6f591623e7478021", 2),
+    ("gaussian", 4, 3, 32, 50): ("0x1.81ef8d44735d9p-1", "5cea1824c4ab8edd", 84),
 }
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -582,22 +583,26 @@ def test_probe_past_its_caps_exits_4_before_any_work(tmp_path, capsys, flags, ca
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("order", [500, 2000])
+@pytest.mark.parametrize("order", [500, 2000, 2_000_000])
 def test_bound_past_the_float_range_exits_3_without_warnings(tmp_path, capsys, order):
     # the gaussian's orders overflow near order 300 at t = 0; the recursion
-    # keeps two orders, so the refusal holds no array per order
+    # keeps two orders, so the refusal holds no array per order, and it stops
+    # once an order has no finite value, so its time does not grow with the order
     argv = ["bound", "--function", "gaussian", "--order", str(order), "--radius", "1"]
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            t0 = time.perf_counter()
             result = run(argv, tmp_path)
+            wall = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result == (3, None)
     assert capsys.readouterr().err == "error: sobolev_bound: the bound overflows\n"
     assert peak < 2**20
+    assert wall < 1.0
 
 
 def test_monomial_at_the_degree_cap_differentiates(tmp_path):

@@ -200,7 +200,7 @@ def test_slab_budget_only_regroups_the_work(name, monkeypatch):
         chunks.append(len(nodes))
         return taylor(g, nodes, *args)
 
-    for d, n in ((8, 4), (16, 3)):
+    for d, n in ((8, 4), (16, 3), (16, 2)):
         rows, vectors, dirs = _rows_and_points(d, n, 2, seed=d + n)
         lam = z * rows
         whole = derivative_matrix(lam, vectors, dirs, g), chain_tensor(lam, n, g)
