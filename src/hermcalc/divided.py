@@ -19,7 +19,9 @@ One batched matmul contracts them with the tensor, and V_k closes each
 path. The tensor, (B,) + (d,)^(n+1), is never built whole: it is gathered
 from the table, and the paths formed and contracted, one block of leading
 indices a at a time, a block holding at most SLAB_ENTRIES entries
-(chain_tensor gathers it whole).
+(chain_tensor gathers it whole). A block is gathered through the top
+level first: the table's entries for the tuples that hold each leading
+index, one row per index, then the symmetric rank map within those rows.
 
 One Newton table computes those values. It runs over ascending index
 tuples into the rows of an array t of nodes: ascending eigenvalues, or
@@ -27,6 +29,12 @@ those times a complex z (exp(z x) on the exp route), whose spans,
 midpoints and Newton divisors are then the real ones times z. Divided
 differences are symmetric, so the table holds each ascending index tuple
 of a row once, and the level below supplies every entry's two parents.
+The index structure of a level (its tuples, their parents' ranks, the
+map that inserts an index into a tuple of the level below, and that
+level's rank map) depends on d and the level alone. It is built once per
+(d, level) from the level below, in uint8 tuples and int32 ranks, kept
+read-only in a least-recently-used cache of at most _INDEX_BUDGET bytes,
+and shared by every call and every row; a call computes the values only.
 Every entry, over nodes t_k0..t_kj with span w = |t_kj - t_k0|, follows
 one rule:
 
@@ -54,8 +62,10 @@ up to max_order where w <= sqrt(eps) (1 + |c|): there cancellation in the
 recurrence would cost more than the truncation.
 """
 
+from collections import OrderedDict
 from functools import reduce
 from math import factorial
+from threading import RLock
 
 import numpy as np
 
@@ -69,6 +79,13 @@ BAND_TAYLOR_SPAN = 4.0
 _EPS = float(np.finfo(float).eps)
 _LOG_EPS = float(np.log(_EPS))
 _SQRT_EPS = float(np.sqrt(_EPS))
+# bytes of index structure the cache keeps: every level of the cap shape
+# d = 32, n = 4 takes 16.7 MiB (15.1 at level 4), and all levels of every
+# d <= 32 up to 4 would take 106.8 MiB
+_INDEX_BUDGET = 20 << 20
+_LEVELS = OrderedDict()
+# reentrant: building a level takes the level below from the cache
+_LEVELS_LOCK = RLock()
 
 
 def _taylor_terms(g, j, rho):
@@ -115,34 +132,76 @@ def _taylor(g, nodes, j, terms, dtype):
 def _longer(tuples, d):
     """Each ascending row extended by every v from its last index to d - 1, in order."""
     parent, last = np.nonzero(np.arange(d) >= tuples[:, -1:])
-    return np.concatenate([tuples.take(parent, axis=0), last[:, None]], axis=1)
+    last = last[:, None].astype(tuples.dtype)
+    return np.concatenate([tuples.take(parent, axis=0), last], axis=1)
+
+
+def _level(d, j):
+    """Index structure of level j of the Newton table over d nodes: the
+    ascending (j+1)-index tuples (C, j+1), the ranks lo and hi (C,) of each
+    tuple's parents in level j-1, the tuple without its last and without
+    its first index (None at level 0), the insertion map ins (d, C'),
+    ins[v, r] = the rank of the level-(j-1) tuple r with v added, and the
+    rank map sym of level j-1, (d,) * j, symmetric (valid at every index
+    order). The tuples are in the smallest unsigned type that holds d, the
+    ranks in int32, and all are read-only: built once, from level j-1, and
+    kept in a least-recently-used cache of at most _INDEX_BUDGET bytes."""
+    key = (d, j)
+    with _LEVELS_LOCK:
+        if key not in _LEVELS:
+            _LEVELS[key] = _build_level(d, j)
+            while len(_LEVELS) > 1 and _index_bytes() > _INDEX_BUDGET:
+                _LEVELS.popitem(last=False)
+        _LEVELS.move_to_end(key)
+        return _LEVELS[key]
+
+
+def _build_level(d, j):
+    """_level's arrays, built from level j-1 (taken from _level)."""
+    if j == 0:
+        # below level 0 is the empty tuple, rank 0
+        ids = np.arange(d)[:, None]
+        ins, sym = ids.astype(np.int32), np.zeros((), np.int32)
+        level = ids.astype(np.min_scalar_type(d)), None, None, ins, sym
+    else:
+        below, _, _, ins, sym = _level(d, j - 1)
+        # gathers only: the rank map of level j, d^(j+1) entries, is never built
+        sym, tuples = ins.T[sym], _longer(below, d)
+        ins, rank = np.empty((d, len(below)), np.int32), np.arange(len(tuples), dtype=np.int32)
+        for k in range(j + 1):
+            # the rank of each tuple without its k-th index: hi at k = 0, lo at k = j
+            parent = sym[tuple(tuples[:, i] for i in range(j + 1) if i != k)]
+            ins[tuples[:, k], parent] = rank
+            hi = parent if k == 0 else hi
+        level = tuples, parent, hi, ins, sym
+    for a in level:
+        if a is not None:
+            a.flags.writeable = False
+    return level
+
+
+def _index_bytes():
+    """Bytes the cached levels hold."""
+    return sum(a.nbytes for level in _LEVELS.values() for a in level if a is not None)
 
 
 def _newton_table(g, t, n):
     """Divided differences of g over every ascending (n+1)-index tuple into
     the rows of t (B, d), by the module rule. Level 0 is g at every node;
     level j takes each tuple's two parents from level j-1, the tuple
-    without its last and without its first index. A g whose max_order is
-    below n raises OrderSupportError first. Returns the top level's
-    insertion map ins (d, C'), ins[v, r] = the rank of the level-(n-1)
-    tuple r with v added, the rank map of level n-1, (d,) * n, symmetric
-    (valid at every index order), and the complex table (B, C): entry
-    T[:, i0, ..., in] of the tensor is table[:, ins[i0, sym[i1, ..., in]]]."""
+    without its last and without its first index. The tuples and parent
+    ranks come from _level, so a call whose levels are cached computes the
+    values alone. A g whose max_order is below n raises OrderSupportError
+    first. Returns the top level's insertion map ins (d, C') and the rank
+    map sym of level n-1, (d,) * n, both from _level, and the complex table
+    (B, C): entry T[:, i0, ..., in] of the tensor is
+    table[:, ins[i0, sym[i1, ..., in]]]."""
     g.check_order(n, "divided differences")
     d = t.shape[1]
-    # level -1 holds the empty tuple
-    table, tuples = g.values(t), np.arange(d)[:, None]
-    sym, ins = np.zeros((), dtype=np.intp), tuples
+    table = g.values(t)
     band, limit = (1.0, TAYLOR_SPAN) if g.bandwidth is None else (g.bandwidth, BAND_TAYLOR_SPAN)
     for j in range(1, n + 1):
-        # gathers only: the top level's map, d^(n+1) entries, is never built
-        sym, ins = ins.T[sym], np.empty((d, len(tuples)), dtype=np.intp)
-        tuples = _longer(tuples, d)
-        # parents[k] = the rank of each tuple without its k-th index
-        parents = [sym[tuple(tuples[:, i] for i in range(j + 1) if i != k)] for k in range(j + 1)]
-        for k, parent in enumerate(parents):
-            ins[tuples[:, k], parent] = np.arange(len(tuples))
-        lo, hi = parents[-1], parents[0]
+        tuples, lo, hi, _, _ = _level(d, j)
         first, last = t[:, tuples[:, 0]], t[:, tuples[:, -1]]
         span = last - first
         reach = band * np.abs(span)
@@ -158,13 +217,15 @@ def _newton_table(g, t, n):
         for s in range(0, len(row), step):
             r, c = row[s : s + step], col[s : s + step]
             table[r, c] = _taylor(g, t[r[:, None], tuples[c]], j, terms[r, c], table.dtype)
+    _, _, _, ins, sym = _level(d, n)
     return ins, sym, table.astype(np.complex128, copy=False)
 
 
 def _gather(ins, sym, table, a):
     """Tensor entries T[:, a] for a slice a of leading indices, from
-    _newton_table's result: shape (B, len(a)) + (d,) * n."""
-    return table[:, ins[a][:, sym]]
+    _newton_table's result: shape (B, len(a)) + (d,) * n. Through the top
+    level first: the rows ins[a] of the table, then sym within each row."""
+    return table[:, ins[a]][:, :, sym]
 
 
 def chain_tensor(nodes, n, g):

@@ -4,11 +4,15 @@ derivative_matrix and chain_tensor take a leading batch axis; a single
 point is the B = 1 case. chain_tensor's Newton table holds each ascending
 index tuple of a row once and every entry follows from the tuple's own
 nodes, so a stack must give what B separate calls give, and every tensor
-entry what the table gives over that chain's own nodes, to the bit.
+entry what the table gives over that chain's own nodes, to the bit. The
+table's index structure is cached per (d, level), so no result may depend
+on what the cache holds.
 """
 
 import functools
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -117,6 +121,89 @@ def test_longer_tuples_are_itertools_ascending_tuples(d):
         assert np.array_equal(tuples, want), j
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
+def test_cached_tuples_are_itertools_ascending_tuples(d):
+    divided._LEVELS.clear()
+    for j in range(1, 5):
+        tuples, lo, hi, ins, sym = divided._level(d, j)
+        want = np.array(list(itertools.combinations_with_replacement(range(d), j + 1)))
+        assert tuples.dtype == np.uint8 and np.array_equal(tuples, want), j
+        assert {a.dtype for a in (lo, hi, ins, sym)} == {np.dtype(np.int32)}
+        # the parents are the tuples without their last and first index
+        below = divided._level(d, j - 1)[0]
+        assert np.array_equal(below[lo], want[:, :-1]) and np.array_equal(below[hi], want[:, 1:])
+
+
+def test_cached_index_arrays_are_read_only():
+    for a in divided._level(5, 3):
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+
+
+@pytest.mark.parametrize("shapes", [((16, 4), (16, 2), (8, 3)), ((8, 3), (16, 2), (16, 4))])
+def test_cold_and_warm_index_cache_give_the_same_bytes(shapes):
+    g, z = TUPLE_CASES["exp(z t)"]
+    cases = []
+    for d, n in shapes:
+        rows, vectors, dirs = _rows_and_points(d, n, 2, seed=d + n)
+        cases.append((n, z * rows, vectors, dirs))
+
+    def result(n, lam, vectors, dirs):
+        return chain_tensor(lam, n, g).tobytes(), derivative_matrix(lam, vectors, dirs, g).tobytes()
+
+    # every call from an empty cache, then the sequence from an empty cache
+    # (later shapes find some of their levels built), then the sequence warm
+    cold = []
+    for n, lam, vectors, dirs in cases:
+        divided._LEVELS.clear()
+        tensor = chain_tensor(lam, n, g).tobytes()
+        divided._LEVELS.clear()
+        cold.append((tensor, derivative_matrix(lam, vectors, dirs, g).tobytes()))
+    divided._LEVELS.clear()
+    assert [result(*case) for case in cases] == cold
+    assert [result(*case) for case in cases] == cold
+
+
+def test_index_cache_stays_within_its_budget():
+    # every level of every d <= 32 up to n = 4 would take 107 MiB
+    divided._LEVELS.clear()
+    for d in range(1, 33):
+        divided._level(d, 4)
+        held = sum(a.nbytes for level in divided._LEVELS.values() for a in level if a is not None)
+        assert held <= 20 * 2**20, d
+    # the cap shape's levels are all kept: its next call builds no index
+    assert all((32, j) in divided._LEVELS for j in range(5))
+
+
+def test_index_cache_shared_by_threads(monkeypatch):
+    # a one-byte budget keeps only the newest level, so nearly every lookup
+    # of one thread races another's build and eviction
+    monkeypatch.setattr(divided, "_INDEX_BUDGET", 1)
+    want = {d: list(itertools.combinations_with_replacement(range(d), 4)) for d in range(1, 9)}
+    errors = []
+
+    def work():
+        try:
+            for _ in range(10):
+                for d, tuples in want.items():
+                    assert divided._level(d, 3)[0].tolist() == [list(t) for t in tuples]
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 def _scattered_tensor(nodes, n, g):
     """The tensor built whole, as before the gathers: the table's top level
     written to all (n+1)! axis orders of a (B,) + (d,)^(n+1) array."""
@@ -220,7 +307,9 @@ def test_slab_budget_only_regroups_the_work(name, monkeypatch):
 
 
 def _gaussian_peak_at_16_4():
-    """Traced peak of one gaussian derivative at d = 16, n = 4."""
+    """Traced peak of one gaussian derivative at d = 16, n = 4, from an
+    empty index cache: the call builds its levels, its worst case."""
+    divided._LEVELS.clear()
     gen = np.random.default_rng(61)
     x = rng.random_hermitian(16, gen)
     dirs = [rng.random_hermitian(16, gen) for _ in range(4)]
@@ -240,8 +329,26 @@ def test_derivative_memory_stays_below_the_whole_tensor():
 def test_derivative_memory_holds_paths_one_block_at_a_time():
     # held whole, the paths of every leading index (n d^n complex entries,
     # 4 MiB here) lift the peak to 7.8 MiB; one block of them at a time and
-    # the pair sums (6 d^3 entries) stay near 4.4 MiB
+    # the pair sums (6 d^3 entries) stay near 4.4 MiB, 3.9 MiB since the
+    # index structure is built in compact types
     assert _gaussian_peak_at_16_4() < 6 * 2**20
+
+
+def test_cap_shape_memory_with_an_empty_index_cache():
+    # the index structure in intp, rebuilt per call, peaked at 88 MiB here;
+    # in compact types, built once per level, near 61 MiB
+    divided._LEVELS.clear()
+    gen = np.random.default_rng(63)
+    x = rng.random_hermitian(32, gen)
+    x /= np.linalg.norm(x, 2)
+    dirs = [rng.random_hermitian(32, gen) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        function_derivative_dd(GaussianFunction(), x, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * 2**20
 
 
 def test_taylor_chunks_are_sized_by_terms():
