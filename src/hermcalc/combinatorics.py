@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 
 from .errors import CapExceededError
 
@@ -35,15 +36,10 @@ def enum_compositions(n, k):
         raise CapExceededError(
             f"enum_compositions: {total} tuples exceeds cap {COMPOSITION_MAX_COUNT}"
         )
-    # tails[t]: the tuples summing to t, one part longer after each step,
-    # which puts every leading part a before the tails of sum t - a; a
-    # ascending over lex-sorted tails keeps them sorted, and the last step
-    # needs the sum k alone
-    tails = [[(t,)] for t in range(k + 1)]
-    for j in range(n):
-        sums = range(k + 1) if j < n - 1 else (k,)
-        tails = [[(a,) + rest for a in range(t + 1) for rest in tails[t - a]] for t in sums]
-    return tails[-1]
+    # stars and bars: n cut points 0 <= c_1 <= ... <= c_n <= k split k into
+    # the gaps between them, and ascending cut points give ascending gaps
+    cuts = itertools.combinations_with_replacement(range(k + 1), n)
+    return [tuple(map(operator.sub, c + (k,), (0,) + c)) for c in cuts]
 
 
 def enum_permutations(n):

@@ -56,10 +56,10 @@ reads B w for w and BAND_TAYLOR_SPAN for TAYLOR_SPAN, and takes the
 smallest Q with rho^(Q+1) e^rho / (Q+1)! <= eps, which bounds the tail by
 eps A B^j / j!. A g whose max_order is below n is refused before the table
 is built, since level n holds the coincident tuples (i, ..., i). Otherwise
-such a g (the cubic spline, max_order 1) takes the Taylor branch only where
-orders j + Q exist, i.e. over coincident nodes, and takes its leading terms
-up to max_order where w <= sqrt(eps) (1 + |c|): there cancellation in the
-recurrence would cost more than the truncation.
+such a g (the cubic spline, max_order 1) takes the Taylor series, to its
+last order, only over nodes within sqrt(eps) (1 + |c|), where cancellation
+in the recurrence would cost more than the truncation. Each level picks
+its branches first and sizes the series of its Taylor entries alone.
 """
 
 from collections import OrderedDict
@@ -89,20 +89,22 @@ _LEVELS_LOCK = RLock()
 
 
 def _taylor_terms(g, j, rho):
-    """Terms Q past the leading one at level j for scaled half-spans rho."""
+    """Terms Q past the leading one at level j for the scaled half-spans rho
+    of Taylor entries alone, rho <= half the Taylor span. A g with max_order
+    takes the series, to its last order, only over nodes within
+    sqrt(eps) (1 + |c|)."""
     if g.degree is not None:
         return np.where(rho > 0.0, max(g.degree - j, 0), 0)
     if g.bandwidth is not None:
-        # smallest Q with rho^(Q+1) e^rho / (Q+1)! <= eps (Taylor entries have rho <= 2)
-        rho = np.minimum(rho, 0.5 * BAND_TAYLOR_SPAN)
+        # smallest Q with rho^(Q+1) e^rho / (Q+1)! <= eps
         q, tail = np.zeros(rho.shape, dtype=np.intp), rho * np.exp(rho)
         while (more := tail > _EPS).any():
             q[more] += 1
             tail[more] *= rho[more] / (q[more] + 1)
         return q
-    # rho^Q <= eps; capped where Taylor entries end, so log rho is never 0
-    safe = np.where(rho > 0.0, np.minimum(rho, 0.5 * TAYLOR_SPAN), 0.5)
-    return np.where(rho > 0.0, np.ceil(_LOG_EPS / np.log(safe)), 0.0).astype(np.intp)
+    # rho^Q <= eps; rho <= 1/2 here, so log rho is never 0
+    q = np.where(rho > 0.0, np.ceil(_LOG_EPS / np.log(np.where(rho > 0.0, rho, 0.5))), 0.0)
+    return (q if g.max_order is None else np.minimum(q, g.max_order - j)).astype(np.intp)
 
 
 def _taylor(g, nodes, j, terms, dtype):
@@ -206,17 +208,15 @@ def _newton_table(g, t, n):
         span = last - first
         reach = band * np.abs(span)
         taylor = reach <= limit
-        terms = _taylor_terms(g, j, 0.5 * reach)
         if g.max_order is not None:
-            close = reach <= _SQRT_EPS * (1.0 + np.abs(0.5 * (last + first)))
-            taylor &= (j + terms <= g.max_order) | close
-            terms = np.minimum(terms, g.max_order - j)
+            taylor &= reach <= _SQRT_EPS * (1.0 + np.abs(0.5 * (last + first)))
         table = (table[:, hi] - table[:, lo]) / np.where(taylor, 1.0, span)
         row, col = np.nonzero(taylor)
-        step = min(SLAB_ENTRIES, TAYLOR_TERM_ENTRIES // (int(terms[row, col].max(initial=0)) + 1))
+        terms = _taylor_terms(g, j, 0.5 * reach[row, col])
+        step = min(SLAB_ENTRIES, TAYLOR_TERM_ENTRIES // (int(terms.max(initial=0)) + 1))
         for s in range(0, len(row), step):
             r, c = row[s : s + step], col[s : s + step]
-            table[r, c] = _taylor(g, t[r[:, None], tuples[c]], j, terms[r, c], table.dtype)
+            table[r, c] = _taylor(g, t[r[:, None], tuples[c]], j, terms[s : s + step], table.dtype)
     _, _, _, ins, sym = _level(d, n)
     return ins, sym, table.astype(np.complex128, copy=False)
 

@@ -115,10 +115,10 @@ class FourierTable(ScalarFunction):
 
     def recon_residual(self, g):
         """The reconstruction check of a table built from g, on demand: max
-        |g~(p) - g(p)| over 41 probes p on [-r, r], summed one probe at a time
-        (all 41 rows at once take 108 MB per matrix at r = 100)."""
+        |g~(p) - g(p)| over 41 probes p on [-r, r], g~ by its own synthesis one
+        probe at a time (all 41 at once take 108 MB per matrix at r = 100)."""
         probes = np.linspace(-self.radius, self.radius, 41)
-        recon = np.array([np.exp(1j * (p * self.s)) @ self.coeffs for p in probes])
+        recon = np.array([self.eval_derivative(p, 0) for p in probes])
         return float(np.max(np.abs(recon - g.eval_derivative(probes, 0))))
 
 

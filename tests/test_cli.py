@@ -389,6 +389,23 @@ def test_parser_is_reused_without_leaking_state(mats, tmp_path):
     assert main(["apply", "--bogus-flag"]) == 2
 
 
+def test_fourier_deriv_of_zero_and_of_a_cubic_spline(mats, tmp_path, capsys):
+    base = ["deriv", "--matrix", mats["x"], "--dir", mats["v"], "--method", "fourier",
+            "--radius", "2.0"]
+    code, doc = run(base + ["--function", "poly:0"], tmp_path)
+    assert code == 0 and doc["tail_fraction"] == 0.0
+    assert not np.any(entries_to_matrix(doc))
+    # |t| sampled on 9 nodes: its spline's transform misses the tail tolerance
+    ts = list(range(-4, 5))
+    spec = json.dumps({"kind": "tabulated", "ts": ts, "vs": [abs(t) for t in ts]})
+    capsys.readouterr()
+    assert run(base + ["--function", spec], tmp_path, "spline.json") == (3, None)
+    assert capsys.readouterr().err == (
+        "error: fourier_table: tail fraction 3.286e-07 above 1e-08 at s_max = 640.9;"
+        " grid too small\n"
+    )
+
+
 def test_fourier_artifact_records_both_taylor_spans(mats, tmp_path):
     from hermcalc.divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
 

@@ -20,7 +20,13 @@ import pytest
 
 from hermcalc import divided, rng
 from hermcalc.divided import chain_tensor, derivative_matrix
-from hermcalc.functions import ExpFunction, GaussianFunction, MonomialFunction, SinFunction
+from hermcalc.functions import (
+    ExpFunction,
+    GaussianFunction,
+    MonomialFunction,
+    SinFunction,
+    TabulatedFunction,
+)
 from hermcalc.spectral import fourier_table, function_derivative_dd
 
 
@@ -366,3 +372,38 @@ def test_taylor_chunks_are_sized_by_terms():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_taylor_terms_are_counted_for_taylor_entries_only(monkeypatch):
+    # each level decides its branches first and sizes the Taylor series of
+    # the Taylor entries alone, whose half-spans are at most half the span
+    terms, taylor, seen, entries = divided._taylor_terms, divided._taylor, [], []
+
+    def terms_spy(g, j, rho):
+        seen.append(rho)
+        return terms(g, j, rho)
+
+    def taylor_spy(g, nodes, *args):
+        entries.append(len(nodes))
+        return taylor(g, nodes, *args)
+
+    monkeypatch.setattr(divided, "_taylor_terms", terms_spy)
+    monkeypatch.setattr(divided, "_taylor", taylor_spy)
+    lam = np.linalg.eigvalsh(rng.random_hermitian(16, np.random.default_rng(64)))
+    ts = np.linspace(-2.0, 2.0, 9)
+    # a gaussian at norm 3, so that spans above 1 occur; the trigonometric
+    # sum, read at its bandwidth; the spline, over one pair 1e-12 apart
+    cases = [
+        (GaussianFunction(), 3.0 * lam / np.abs(lam).max(), 4, divided.TAYLOR_SPAN),
+        (FUNCTIONS["trigsum"], _random_and_clustered_rows(8, seed=65)[1:], 3, divided.BAND_TAYLOR_SPAN),
+        (TabulatedFunction(ts, np.cos(ts)), [-1.5, -0.2, 0.4, 0.4 + 1e-12, 1.7], 1, divided.TAYLOR_SPAN),
+    ]
+    for g, nodes, n, span in cases:
+        seen.clear()
+        entries.clear()
+        chain_tensor(np.array(nodes, ndmin=2), n, g)
+        rho = np.concatenate([r.ravel() for r in seen])
+        assert rho.max() <= 0.5 * span, g.label()
+        assert len(rho) == sum(entries), g.label()
+    # the spline's Taylor entries: its 5 coincident pairs and the close one
+    assert sum(entries) == 6

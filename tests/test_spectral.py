@@ -10,6 +10,7 @@ import pytest
 from hermcalc.divided import chain_tensor
 from hermcalc.errors import (
     CapExceededError,
+    GridError,
     OrderSupportError,
     ParseError,
     RadiusError,
@@ -387,6 +388,24 @@ def test_fourier_tail_is_measured_on_the_next_grid():
     total = float(np.sum(np.abs(t.s) * np.abs(t.ghat) * t.weights))
     assert 0.0 < t.tail_fraction == float(mass[beyond].sum()) / total <= 1e-8
     np.testing.assert_array_equal(s[~beyond], t.s)
+
+
+def test_fourier_table_of_the_zero_function_keeps_the_base_grid():
+    # no mass at all, so no wider grid is measured and the tail fraction is 0
+    t = fourier_table(parse_function("poly:0"), 2.0, n_max=1)
+    assert t.tail_fraction == 0.0 and not np.any(t.ghat)
+    assert t.s[-1] == pytest.approx(40.06, abs=0.01)
+
+
+def test_fourier_table_of_a_cubic_spline_misses_the_tail_tolerance():
+    # the spline is only C^2 at its knots, so |s| |ghat| keeps 3.3e-7 of its
+    # mass beyond the largest grid
+    ts = np.linspace(-4.0, 4.0, 9)
+    with pytest.raises(GridError) as info:
+        fourier_table(TabulatedFunction(ts, np.abs(ts)), 2.0, n_max=1)
+    assert str(info.value) == (
+        "fourier_table: tail fraction 3.286e-07 above 1e-08 at s_max = 640.9; grid too small"
+    )
 
 
 def test_fourier_table_memory_at_the_radius_cap():
