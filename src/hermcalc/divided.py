@@ -31,10 +31,13 @@ differences are symmetric, so the table holds each ascending index tuple
 of a row once, and the level below supplies every entry's two parents.
 The index structure of a level (its tuples, their parents' ranks, the
 map that inserts an index into a tuple of the level below, and that
-level's rank map) depends on d and the level alone. It is built once per
-(d, level) from the level below, in uint8 tuples and int32 ranks, kept
-read-only in a least-recently-used cache of at most _INDEX_BUDGET bytes,
-and shared by every call and every row; a call computes the values only.
+level's rank map) depends on d and the level alone. One structure is kept
+per level, read-only, in uint8 tuples and int32 ranks, built from the
+level below for the largest d asked for so far; its tuples are in colex
+order (by last index, then by the rest), so the structure of any smaller
+d is its prefix, read as views. It is shared by every call and every row,
+and holds at most 16.7 MiB, every level of d = 32 up to n = 4; a call
+computes the values only.
 Every entry, over nodes t_k0..t_kj with span w = |t_kj - t_k0|, follows
 one rule:
 
@@ -62,9 +65,8 @@ in the recurrence would cost more than the truncation. Each level picks
 its branches first and sizes the series of its Taylor entries alone.
 """
 
-from collections import OrderedDict
 from functools import reduce
-from math import factorial
+from math import comb, factorial
 from threading import RLock
 
 import numpy as np
@@ -79,12 +81,9 @@ BAND_TAYLOR_SPAN = 4.0
 _EPS = float(np.finfo(float).eps)
 _LOG_EPS = float(np.log(_EPS))
 _SQRT_EPS = float(np.sqrt(_EPS))
-# bytes of index structure the cache keeps: every level of the cap shape
-# d = 32, n = 4 takes 16.7 MiB (15.1 at level 4), and all levels of every
-# d <= 32 up to 4 would take 106.8 MiB
-_INDEX_BUDGET = 20 << 20
-_LEVELS = OrderedDict()
-# reentrant: building a level takes the level below from the cache
+# level j -> its index structure over the most nodes asked for so far
+_LEVELS = {}
+# reentrant: building a level takes the level below from _level
 _LEVELS_LOCK = RLock()
 
 
@@ -132,39 +131,38 @@ def _taylor(g, nodes, j, terms, dtype):
 
 
 def _longer(tuples, d):
-    """Each ascending row extended by every v from its last index to d - 1, in order."""
-    parent, last = np.nonzero(np.arange(d) >= tuples[:, -1:])
+    """Each row of the colex-ordered tuples extended by every v from its last
+    index to d - 1, in colex order: by v, then by row."""
+    last, parent = np.nonzero(tuples[:, -1] <= np.arange(d)[:, None])
     last = last[:, None].astype(tuples.dtype)
     return np.concatenate([tuples.take(parent, axis=0), last], axis=1)
 
 
 def _level(d, j):
     """Index structure of level j of the Newton table over d nodes: the
-    ascending (j+1)-index tuples (C, j+1), the ranks lo and hi (C,) of each
-    tuple's parents in level j-1, the tuple without its last and without
-    its first index (None at level 0), the insertion map ins (d, C'),
-    ins[v, r] = the rank of the level-(j-1) tuple r with v added, and the
-    rank map sym of level j-1, (d,) * j, symmetric (valid at every index
-    order). The tuples are in the smallest unsigned type that holds d, the
-    ranks in int32, and all are read-only: built once, from level j-1, and
-    kept in a least-recently-used cache of at most _INDEX_BUDGET bytes."""
-    key = (d, j)
+    ascending (j+1)-index tuples (C, j+1) in colex order, the ranks lo and
+    hi (C,) of each tuple's parents in level j-1, the tuple without its
+    last and without its first index (empty at level 0), the insertion map
+    ins (d, C'), ins[v, r] = the rank of the level-(j-1) tuple r with v
+    added, and the rank map sym of level j-1, (d,) * j, symmetric (valid at
+    every index order). The tuples are in the smallest unsigned type that
+    holds d, the ranks in int32, and all are read-only views of the one
+    structure kept for level j, built for the largest d so far: in colex
+    order, the tuples over d nodes and their ranks are its prefix."""
     with _LEVELS_LOCK:
-        if key not in _LEVELS:
-            _LEVELS[key] = _build_level(d, j)
-            while len(_LEVELS) > 1 and _index_bytes() > _INDEX_BUDGET:
-                _LEVELS.popitem(last=False)
-        _LEVELS.move_to_end(key)
-        return _LEVELS[key]
+        if j not in _LEVELS or len(_LEVELS[j][3]) < d:
+            _LEVELS[j] = _build_level(d, j)
+        tuples, lo, hi, ins, sym = _LEVELS[j]
+    c = comb(d + j, j + 1)
+    return tuples[:c], lo[:c], hi[:c], ins[:d, : comb(d + j - 1, j)], sym[(slice(d),) * j]
 
 
 def _build_level(d, j):
-    """_level's arrays, built from level j-1 (taken from _level)."""
+    """_level's arrays over d nodes, built from level j-1 (taken from _level)."""
     if j == 0:
         # below level 0 is the empty tuple, rank 0
-        ids = np.arange(d)[:, None]
-        ins, sym = ids.astype(np.int32), np.zeros((), np.int32)
-        level = ids.astype(np.min_scalar_type(d)), None, None, ins, sym
+        ids, none, sym = np.arange(d)[:, None], np.empty(0, np.int32), np.zeros((), np.int32)
+        level = ids.astype(np.min_scalar_type(d)), none, none, ids.astype(np.int32), sym
     else:
         below, _, _, ins, sym = _level(d, j - 1)
         # gathers only: the rank map of level j, d^(j+1) entries, is never built
@@ -177,14 +175,8 @@ def _build_level(d, j):
             hi = parent if k == 0 else hi
         level = tuples, parent, hi, ins, sym
     for a in level:
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
     return level
-
-
-def _index_bytes():
-    """Bytes the cached levels hold."""
-    return sum(a.nbytes for level in _LEVELS.values() for a in level if a is not None)
 
 
 def _newton_table(g, t, n):

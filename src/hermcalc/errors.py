@@ -6,6 +6,8 @@ NumericError -> 3, DomainError -> 4; subclasses inherit their parent's.
 Any other exception is a bug.
 """
 
+import operator
+
 import numpy as np
 
 
@@ -63,3 +65,10 @@ def check_finite(name, value):
     if not np.all(np.isfinite(value)):
         raise OverflowRangeError(f"{name} overflows")
     return value
+
+
+def check_int(name, value):
+    """value as an int; ParseError unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParseError
+from .errors import ConvergenceError, ParseError, check_int
 
 HERMITIAN_REJECT_TOL = 1e-8
 
@@ -119,10 +119,7 @@ def matrix_to_dict(arr, meta=None):
 def matrix_from_dict(doc, name="matrix"):
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise ParseError(f"{name}: expected an object with 'dim' and 'entries'")
-    try:
-        d = int(doc["dim"])
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{name}: 'dim' must be an integer") from None
+    d = check_int(f"{name}: 'dim'", doc["dim"])
     if d < 1:
         raise ParseError(f"{name}: 'dim' must be >= 1, got {d}")
     try:

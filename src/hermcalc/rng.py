@@ -10,7 +10,7 @@ the same draws no matter who computes it. A seed is an integer in
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, check_int
 
 # Stream ids. Distinct consumers get distinct streams so that enlarging
 # one budget never perturbs another.
@@ -27,9 +27,9 @@ BLOCK = 4096
 
 
 def check_seed(seed):
-    """seed as an int, or ParseError outside [0, 2^32): a wider key would
-    alias, as SeedSequence pads [2^32, 1, 0] to the words of [0, 1, 1]."""
-    seed = int(seed)
+    """seed as an int, or ParseError off the integers in [0, 2^32): a wider
+    key would alias, as SeedSequence pads [2^32, 1, 0] to the words of [0, 1, 1]."""
+    seed = check_int("seed", seed)
     if not 0 <= seed < 2**32:
         raise ParseError(f"seed must lie in [0, 2^32), got {seed}")
     return seed

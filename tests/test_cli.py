@@ -516,9 +516,13 @@ BIG_INT = "1" + "0" * 400
         (None, '{"kind": ["exp"]}'),
         (None, '{"kind": "monomial", "params": {"k": 3}}'),
         (None, '{"kind": "polynomial", "coeffs": [1]}'),
+        ('{"dim": 2.7, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}', "exp"),
+        ('{"dim": true, "entries": [[1.0, 0.0]]}', "exp"),
+        ('{"dim": "2", "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}', "exp"),
+        (None, '{"kind": "exp"'),
     ],
     ids=["dim", "entry", "entry-past-digit-limit", "poly", "ts", "vs", "kind", "params",
-         "polynomial"],
+         "polynomial", "dim-float", "dim-bool", "dim-string", "spec-json"],
 )
 def test_malformed_inputs_exit_2_without_artifact(mats, tmp_path, capsys, matrix, spec):
     path = tmp_path / "m.json"

@@ -6,6 +6,7 @@ from math import comb, factorial
 import pytest
 
 from hermcalc.combinatorics import (
+    COMPOSITION_MAX_COUNT,
     composition_count,
     enum_compositions,
     enum_permutations,
@@ -60,3 +61,21 @@ def test_enumeration_caps():
         enum_compositions(9, 1)
     with pytest.raises(CapExceededError):
         enum_permutations(11)
+
+
+def test_composition_count_of_a_negative_total_is_zero():
+    assert composition_count(3, -1) == 0 == len(enum_compositions(3, -1))
+
+
+@pytest.mark.parametrize(
+    "enum, args, match",
+    [
+        (enum_compositions, (-1, 2), "n must be >= 0"),
+        (enum_compositions, (8, 40), f"exceeds cap {COMPOSITION_MAX_COUNT}"),
+        (enum_permutations, (-1,), "n must be >= 0"),
+    ],
+    ids=["negative-parts", "count-cap", "negative-permutation-size"],
+)
+def test_enumerations_refuse_negative_sizes_and_oversized_counts(enum, args, match):
+    with pytest.raises(CapExceededError, match=match):
+        enum(*args)

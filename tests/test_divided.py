@@ -5,8 +5,9 @@ point is the B = 1 case. chain_tensor's Newton table holds each ascending
 index tuple of a row once and every entry follows from the tuple's own
 nodes, so a stack must give what B separate calls give, and every tensor
 entry what the table gives over that chain's own nodes, to the bit. The
-table's index structure is cached per (d, level), so no result may depend
-on what the cache holds.
+table's index structure is kept per level, for the most nodes asked for so
+far, and read by smaller d as its colex prefix, so no result may depend on
+what the cache holds.
 """
 
 import functools
@@ -117,12 +118,18 @@ def test_tensor_entry_equals_chain_dd_on_its_chain(name, n, d):
         np.testing.assert_array_equal(tensor[b][tuple(chains.T)], want)
 
 
+def _colex_tuples(d, j):
+    """The ascending (j+1)-index tuples over d nodes in colex order: by last
+    index, then by the rest."""
+    return sorted(itertools.combinations_with_replacement(range(d), j + 1), key=lambda t: t[::-1])
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
 def test_longer_tuples_are_itertools_ascending_tuples(d):
     tuples = np.arange(d)[:, None]
     for j in range(1, 5):
         tuples = divided._longer(tuples, d)
-        want = np.array(list(itertools.combinations_with_replacement(range(d), j + 1)), dtype=np.intp)
+        want = np.array(_colex_tuples(d, j), dtype=np.intp)
         assert tuples.dtype == want.dtype and tuples.shape == want.shape
         assert np.array_equal(tuples, want), j
 
@@ -132,7 +139,7 @@ def test_cached_tuples_are_itertools_ascending_tuples(d):
     divided._LEVELS.clear()
     for j in range(1, 5):
         tuples, lo, hi, ins, sym = divided._level(d, j)
-        want = np.array(list(itertools.combinations_with_replacement(range(d), j + 1)))
+        want = np.array(_colex_tuples(d, j))
         assert tuples.dtype == np.uint8 and np.array_equal(tuples, want), j
         assert {a.dtype for a in (lo, hi, ins, sym)} == {np.dtype(np.int32)}
         # the parents are the tuples without their last and first index
@@ -170,43 +177,86 @@ def test_cold_and_warm_index_cache_give_the_same_bytes(shapes):
     assert [result(*case) for case in cases] == cold
 
 
-def test_index_cache_stays_within_its_budget():
-    # every level of every d <= 32 up to n = 4 would take 107 MiB
+def test_index_cache_holds_at_most_the_cap_shape():
+    # one structure per level, for the largest d so far: d = 1..32 and back
+    # down at n = 4 never hold more than the structure of d = 32, levels 0..4
     divided._LEVELS.clear()
-    for d in range(1, 33):
+    held = []
+    for d in [*range(1, 33), *range(32, 0, -1)]:
         divided._level(d, 4)
-        held = sum(a.nbytes for level in divided._LEVELS.values() for a in level if a is not None)
-        assert held <= 20 * 2**20, d
-    # the cap shape's levels are all kept: its next call builds no index
-    assert all((32, j) in divided._LEVELS for j in range(5))
+        held.append(sum(a.nbytes for level in divided._LEVELS.values() for a in level))
+    cap = sum(a.nbytes for j in range(5) for a in divided._level(32, j))
+    assert max(held) <= cap == held[-1] < 17 * 2**20
 
 
-def test_index_cache_shared_by_threads(monkeypatch):
-    # a one-byte budget keeps only the newest level, so nearly every lookup
-    # of one thread races another's build and eviction
-    monkeypatch.setattr(divided, "_INDEX_BUDGET", 1)
-    want = {d: list(itertools.combinations_with_replacement(range(d), 4)) for d in range(1, 9)}
+def test_index_cache_builds_each_level_once_per_larger_d(monkeypatch):
+    build, built = divided._build_level, []
+
+    def spy(d, j):
+        built.append((d, j))
+        return build(d, j)
+
+    monkeypatch.setattr(divided, "_build_level", spy)
+    divided._LEVELS.clear()
+    divided._level(32, 4)
+    assert sorted(built) == [(32, j) for j in range(5)]
+    # after the cap shape, no call at d <= 32, n <= 4 builds a level
+    built.clear()
+    for d in range(1, 33):
+        for n in range(5):
+            divided._level(d, n)
+    assert built == []
+    # ten gaussian tables alternating (24, 4) and (32, 4), the caps' thrashing
+    # case for a cache bounded in bytes, build each level at 24, then at 32
+    divided._LEVELS.clear()
+    for d in (24, 32) * 5:
+        divided._newton_table(GaussianFunction(), 2.0 * np.arange(d)[None], 4)
+    assert sorted(built) == [(d, j) for d in (24, 32) for j in range(5)]
+
+
+def test_smaller_dimensions_read_the_colex_prefix():
+    divided._LEVELS.clear()
+    divided._level(32, 4)
+    big = dict(divided._LEVELS)
+    for d in range(1, 32):
+        # a fresh build at d, from an empty cache; then the reads at d with
+        # the d = 32 structure in place
+        divided._LEVELS.clear()
+        want = [divided._level(d, j) for j in range(5)]
+        divided._LEVELS.clear()
+        divided._LEVELS.update(big)
+        for j in range(5):
+            for a, b in zip(divided._level(d, j), want[j]):
+                assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), (d, j)
+
+
+def test_index_cache_shared_by_threads():
+    # from an empty cache each round, threads ask for d in ascending and in
+    # descending order, so that lookups race the rebuilds for a larger d
+    want = {d: [list(t) for t in _colex_tuples(d, 3)] for d in range(1, 9)}
     errors = []
 
-    def work():
+    def work(order):
         try:
-            for _ in range(10):
-                for d, tuples in want.items():
-                    assert divided._level(d, 3)[0].tolist() == [list(t) for t in tuples]
+            for d in order:
+                assert divided._level(d, 3)[0].tolist() == want[d]
         except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        for _ in range(10):
+            divided._LEVELS.clear()
+            orders = [sorted(want), sorted(want, reverse=True)] * 2
+            threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
     assert errors == []
 
 
@@ -215,7 +265,7 @@ def _scattered_tensor(nodes, n, g):
     written to all (n+1)! axis orders of a (B,) + (d,)^(n+1) array."""
     b, d = nodes.shape
     vals = divided._newton_table(g, nodes, n)[2]
-    cols = np.array(list(itertools.combinations_with_replacement(range(d), n + 1))).T
+    cols = np.array(_colex_tuples(d, n)).T
     tensor = np.empty((b,) + (d,) * (n + 1), dtype=np.complex128)
     for perm in itertools.permutations(range(n + 1)):
         tensor[(np.arange(b)[:, None], *(cols[k] for k in perm))] = vals

@@ -447,6 +447,19 @@ def test_seeds_outside_32_bits_are_refused_not_aliased():
             exp_derivative_mc(np.eye(2), [np.eye(2)], samples=100, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [3.7, True, "7", None])
+def test_seeds_that_are_not_integers_are_refused_not_truncated(seed):
+    with pytest.raises(ParseError, match="seed must be an integer"):
+        rng.check_seed(seed)
+
+
+@pytest.mark.parametrize("estimate", [simplex_volume_mc, exp_derivative_mc])
+def test_mc_estimates_need_at_least_2_samples(estimate):
+    args = (2,) if estimate is simplex_volume_mc else (np.eye(2), [np.eye(2)])
+    with pytest.raises(ParseError, match="at least 2 samples"):
+        estimate(*args, samples=1, seed=0)
+
+
 def test_simplex_volume_mc_deterministic():
     a = simplex_volume_mc(3, samples=10000, seed=12)
     b = simplex_volume_mc(3, samples=10000, seed=12)

@@ -147,6 +147,7 @@ def _coeffs(g):
         ("monomial:3", {"kind": "monomial", "k": 3}),
         ("poly:1,0,-2.5", {"kind": "poly", "coeffs": [1, 0, -2.5]}),
         ('{"kind": "poly", "coeffs": [[1, 2], 3]}', {"kind": "poly", "coeffs": [[1, 2], 3]}),
+        ({"kind": "monomial", "k": 2}, {"kind": "monomial", "k": 2}),
     ],
 )
 def test_each_string_form_is_its_spec_object(text, spec):
@@ -175,6 +176,10 @@ def test_spec_file_is_its_spec_object(tmp_path):
         {"kind": "tabulated", "ts": ["a", 1, 2, 3], "vs": [0, 1, 2, 3]},
         {"kind": "tabulated", "ts": [0, 1, 2, 3], "vs": [float("inf"), 1, 2, 3]},
         {"kind": "tabulated", "ts": [0, 1, 2, 10**400], "vs": [0, 1, 2, 3]},
+        {"kind": "poly", "coeffs": []},
+        {"kind": "poly", "coeffs": 1.5},
+        {"kind": "tabulated", "ts": [0, 1, 2], "vs": [0, 1, 2]},
+        {"kind": "tabulated", "ts": [0, 2, 1, 3], "vs": [0, 1, 2, 3]},
     ],
 )
 def test_undocumented_or_malformed_specs_are_parse_errors(spec):

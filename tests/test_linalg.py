@@ -9,6 +9,7 @@ from hermcalc import linalg
 from hermcalc.errors import ConvergenceError, ParseError
 from hermcalc.linalg import (
     HermitianMatrix,
+    as_array,
     eig,
     frobenius,
     load_matrix,
@@ -17,6 +18,7 @@ from hermcalc.linalg import (
     matrix_to_json,
     op_norm,
     save_matrix,
+    validate_matrix,
 )
 
 
@@ -167,8 +169,22 @@ def test_extreme_entries_round_trip_bit_for_bit():
         {"dim": 1, "entries": [1.0, 0.0]},
         {"dim": 1, "entries": {"re": 1.0}},
         {"dim": 1, "entries": [[float("inf"), 0.0]]},
+        {"dim": 2.7, "entries": [[1.0, 0.0]] * 4},
+        {"dim": True, "entries": [[1.0, 0.0]]},
+        {"dim": "2", "entries": [[1.0, 0.0]] * 4},
     ],
 )
 def test_matrix_from_dict_rejects_malformed_numbers(doc):
     with pytest.raises(ParseError):
         matrix_from_dict(doc)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,), (1, 1, 1)])
+def test_validate_matrix_rejects_non_square_shapes(shape):
+    with pytest.raises(ParseError, match="expected a square matrix"):
+        validate_matrix(np.zeros(shape))
+
+
+def test_as_array_takes_a_hermitian_matrix_as_validated():
+    h = HermitianMatrix(np.array([[1.0, 2j], [-2j, 3.0]]))
+    assert as_array(h) is h.array

@@ -117,3 +117,18 @@ def test_fd_order_cap_and_step_check():
         fd_derivative(mat_exp, x, [v, v, v, v])
     with pytest.raises(ParseError):
         fd_derivative(mat_exp, x, [v], config=FDConfig(step=-1.0))
+
+
+@pytest.mark.parametrize(
+    "oracle, error, match",
+    [
+        (lambda x: exp_chain_quadrature(x, x, nodes=1), ParseError, "nodes must be odd >= 3"),
+        (lambda x: exp_chain_quadrature(x, x, nodes=200), ParseError, "nodes must be odd >= 3"),
+        (lambda x: symbolic_power_expand(-1, x, []), ParseError, "k must be >= 0"),
+        (lambda x: symbolic_power_expand(20, x, [x]), CapExceededError, "words exceeds budget"),
+    ],
+    ids=["one-node", "even-nodes", "negative-power", "word-budget"],
+)
+def test_oracles_refuse_bad_arguments(oracle, error, match):
+    with pytest.raises(error, match=match):
+        oracle(np.eye(2, dtype=complex))

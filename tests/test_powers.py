@@ -66,3 +66,10 @@ def test_power_caps_and_argument_checks():
         power_derivative(4, 6, x, [v] * 6)
     with pytest.raises(ParseError):
         power_derivative(4, 2, x, [v])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 1)])
+def test_directions_must_match_the_matrix_shape(shape):
+    x = np.eye(2, dtype=complex)
+    with pytest.raises(ParseError, match=r"direction 1: shape .* does not match"):
+        power_derivative(3, 2, x, [x, np.eye(shape[0])])

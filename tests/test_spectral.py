@@ -526,3 +526,9 @@ def test_fourier_direction_and_dimension_checks(gaussian_table):
     big = np.zeros((40, 40), dtype=complex)
     with pytest.raises(CapExceededError):
         function_derivative_fourier(gaussian_table, big, [np.eye(40)])
+
+
+@pytest.mark.parametrize("nnodes", [1, 2, 4, 100])
+def test_simpson_weights_need_an_odd_count_of_at_least_3(nnodes):
+    with pytest.raises(GridError, match="odd node count >= 3"):
+        simpson_weights(nnodes, 0.1)
