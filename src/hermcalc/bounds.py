@@ -43,7 +43,7 @@ import numpy as np
 
 from . import divided, rng
 from .divided import derivative_matrix
-from .errors import OverflowRangeError, ParseError, check_finite
+from .errors import OverflowRangeError, check_count, check_finite, check_real
 from .expderiv import check_derivative_caps
 from .functions import MonomialFunction
 from .linalg import eig
@@ -62,10 +62,8 @@ def sobolev_bound(g, n, r):
     """Upper bound on the order-n derivative seminorm over the radius-r ball:
     |g^(n)(0)| + sqrt(8 r) * (integral of |g^(n+1)|^2 / (2 pi))^(1/2), the
     integral by Simpson's rule on SOBOLEV_NODES (odd) nodes."""
-    if n < 0:
-        raise ParseError(f"sobolev_bound: order must be >= 0, got {n}")
-    if not 0 < r < np.inf:
-        raise ParseError(f"sobolev_bound: radius must be positive and finite, got {r}")
+    n = check_count("sobolev_bound: order", n)
+    check_real("sobolev_bound: radius", r)
     g.check_order(n + 1, "sobolev_bound")
     t = np.linspace(-r, r, SOBOLEV_NODES)
     w = simpson_weights(SOBOLEV_NODES, t[1] - t[0])
@@ -78,10 +76,8 @@ def sobolev_bound(g, n, r):
 
 def power_bound(k, n, r):
     """Seminorm bound for t -> t^k: k!/(k-n)! r^(k-n); zero when n > k."""
-    if n < 0:
-        raise ParseError(f"power_bound: order must be >= 0, got {n}")
-    if not 0 <= r < np.inf:
-        raise ParseError(f"power_bound: radius must be finite and >= 0, got {r}")
+    k, n = check_count("power_bound: power", k), check_count("power_bound: order", n)
+    check_real("power_bound: radius", r, zero=True)
     if n > k:
         return 0.0
     try:
@@ -223,11 +219,11 @@ def probe_seminorm(
     derivative norm actually evaluated at the stored witness. samples_used
     is 2 + budget + climb_steps. threads is accepted and ignored.
     """
-    if n < 0 or not 0 < r < np.inf or d < 1 or budget < 0 or climb_steps < 0:
-        raise ParseError(
-            "probe_seminorm: need n >= 0, finite r > 0, d >= 1, budget >= 0, climb_steps >= 0"
-        )
     check_derivative_caps(n, d)
+    check_real("probe_seminorm: radius", r)
+    budget = check_count("probe_seminorm: budget", budget)
+    climb_steps = check_count("probe_seminorm: climb_steps", climb_steps)
+    seed = rng.check_seed(seed)
     # a real-valued g has Hermitian derivatives, whose norms are eigenvalues;
     # the dtype of its values on real nodes, read off no nodes at all
     hermitian = np.isrealobj(g.derivatives(np.empty(0), 0, 0))
@@ -271,7 +267,7 @@ def probe_seminorm(
         witness_x=state[0],
         witness_dirs=list(state[1:]),
         samples_used=2 + budget + climb_steps,
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -4,7 +4,7 @@ import itertools
 import math
 import operator
 
-from .errors import CapExceededError
+from .errors import check_count, check_int
 
 COMPOSITION_MAX_PARTS = 8
 COMPOSITION_MAX_COUNT = 10**7
@@ -13,6 +13,7 @@ PERMUTATION_MAX_N = 10
 
 def composition_count(n, k):
     """Number of (n+1)-tuples of nonnegative integers summing to k."""
+    n, k = check_count("composition_count: n", n), check_int("composition_count: k", k)
     if k < 0:
         return 0
     return math.comb(n + k, n)
@@ -23,19 +24,11 @@ def enum_compositions(n, k):
 
     Empty for k < 0. The n = 0 case is the single tuple (k,).
     """
-    if n < 0:
-        raise CapExceededError(f"enum_compositions: n must be >= 0, got {n}")
+    n = check_count("enum_compositions: n", n, 0, COMPOSITION_MAX_PARTS)
+    k = check_int("enum_compositions: k", k)
     if k < 0:
         return []
-    if n > COMPOSITION_MAX_PARTS:
-        raise CapExceededError(
-            f"enum_compositions: n = {n} exceeds cap {COMPOSITION_MAX_PARTS}"
-        )
-    total = composition_count(n, k)
-    if total > COMPOSITION_MAX_COUNT:
-        raise CapExceededError(
-            f"enum_compositions: {total} tuples exceeds cap {COMPOSITION_MAX_COUNT}"
-        )
+    check_count("enum_compositions: tuples", composition_count(n, k), 0, COMPOSITION_MAX_COUNT)
     # stars and bars: n cut points 0 <= c_1 <= ... <= c_n <= k split k into
     # the gaps between them, and ascending cut points give ascending gaps
     cuts = itertools.combinations_with_replacement(range(k + 1), n)
@@ -44,11 +37,5 @@ def enum_compositions(n, k):
 
 def enum_permutations(n):
     """S_n as 1-based mapping tuples in lex order; n = 0 gives the empty map."""
-    if n < 0:
-        raise CapExceededError(f"enum_permutations: n must be >= 0, got {n}")
-    if n > PERMUTATION_MAX_N:
-        raise CapExceededError(
-            f"enum_permutations: n = {n} exceeds cap {PERMUTATION_MAX_N} "
-            f"({math.factorial(n)} elements)"
-        )
+    n = check_count("enum_permutations: n", n, 0, PERMUTATION_MAX_N)
     return list(itertools.permutations(range(1, n + 1)))

@@ -4,9 +4,17 @@ Each class carries the process exit code the CLI returns for it:
 HermcalcError -> 1 (an invariant failure), ParseError -> 2,
 NumericError -> 3, DomainError -> 4; subclasses inherit their parent's.
 Any other exception is a bug.
+
+Every entry point checks its orders, dimensions, sample counts and radii
+through check_count and check_real, with one rule: a non-integer, a bool,
+a count below its least value, or a radius or step that is not a finite
+number above 0 (at or above 0 where zero is allowed) is a ParseError
+(exit 2); a value past a cap is a CapExceededError (exit 4).
 """
 
+import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -72,3 +80,27 @@ def check_int(name, value):
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ParseError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def check_count(name, value, least=0, cap=None):
+    """value as an int: ParseError unless it is an integer (a bool is not)
+    of at least least, CapExceededError past cap."""
+    value = check_int(name, value)
+    if value < least:
+        raise ParseError(f"{name} must be >= {least}, got {value}")
+    if cap is not None and value > cap:
+        raise CapExceededError(f"{name} {value} exceeds cap {cap}")
+    return value
+
+
+def check_real(name, value, cap=None, zero=False):
+    """value unchanged: ParseError unless it is a real number (a bool or a
+    string is not) above 0, or at 0 with zero, and finite as a float;
+    CapExceededError past cap."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        (value >= 0 if zero else value > 0) and value <= sys.float_info.max
+    ):
+        raise ParseError(f"{name} must be a finite number {'>=' if zero else '>'} 0, got {value!r}")
+    if cap is not None and value > cap:
+        raise CapExceededError(f"{name} {value} exceeds cap {cap}")
+    return value

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .divided import derivative_matrix, to_eigenbasis
-from .errors import CapExceededError, OverflowRangeError, ParseError
+from .errors import OverflowRangeError, ParseError, check_count
 from .functions import ExpFunction
 from .linalg import HermitianMatrix
 
@@ -69,12 +69,10 @@ def reference_simplex_volume(n):
 
 
 def check_derivative_caps(n, d):
-    """The order and dimension caps of the derivative routes, checked
-    before any matrix is built: CapExceededError past either."""
-    if n > EXP_DERIV_MAX_N:
-        raise CapExceededError(f"derivative: order {n} exceeds cap {EXP_DERIV_MAX_N}")
-    if d > EXP_DERIV_MAX_DIM:
-        raise CapExceededError(f"derivative: dimension {d} exceeds cap {EXP_DERIV_MAX_DIM}")
+    """The order n >= 0 and dimension d >= 1 of the derivative routes, with
+    their caps, checked before any matrix is built."""
+    check_count("derivative: order", n, 0, EXP_DERIV_MAX_N)
+    check_count("derivative: dimension", d, 1, EXP_DERIV_MAX_DIM)
 
 
 def check_derivative_args(x, dirs):
@@ -225,9 +223,7 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     Bit-reproducible; threads is ignored."""
     h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
-    samples = int(samples)
-    if samples < 2:
-        raise ParseError("exp_derivative_mc: need at least 2 samples")
+    samples = check_count("exp_derivative_mc: samples", samples, 2)
     scale, dec = complex(scale), h.eig()
     _check_exp_range("exp_derivative_mc", scale, dec.eigenvalues)
     d, u = h.dim, dec.vectors
@@ -276,15 +272,11 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
 def simplex_volume_mc(n, samples, seed, threads=1):
     """Monte-Carlo volume of {t in [0,1]^n : sum t <= 1}, expected 1/n!.
     threads is accepted and ignored."""
-    if n < 0:
-        raise ParseError(f"simplex_volume_mc: order must be >= 0, got {n}")
-    if n > SIMPLEX_MAX_N:
-        raise CapExceededError(f"simplex_volume_mc: n = {n} above {SIMPLEX_MAX_N}")
-    samples = int(samples)
-    if samples < 2:
-        raise ParseError("simplex_volume_mc: need at least 2 samples")
+    n = check_count("simplex_volume_mc: order", n, 0, SIMPLEX_MAX_N)
+    samples = check_count("simplex_volume_mc: samples", samples, 2)
+    seed = rng.check_seed(seed)
     if n == 0:
-        return VolumeEstimate(value=1.0, std_error=0.0, samples=samples, n=0, seed=int(seed))
+        return VolumeEstimate(value=1.0, std_error=0.0, samples=samples, n=0, seed=seed)
 
     def chunk_hits(block, count):
         gen = rng.generator(seed, rng.STREAM_VOLUME, block)
@@ -294,4 +286,4 @@ def simplex_volume_mc(n, samples, seed, threads=1):
     hits = sum(chunk_hits(block, count) for block, count in rng.blocks(samples))
     p = hits / samples
     se = float(np.sqrt(p * (1.0 - p) / samples))
-    return VolumeEstimate(value=p, std_error=se, samples=samples, n=n, seed=int(seed))
+    return VolumeEstimate(value=p, std_error=se, samples=samples, n=n, seed=seed)

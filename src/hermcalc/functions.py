@@ -11,7 +11,7 @@ from math import perm
 
 import numpy as np
 
-from .errors import CapExceededError, OrderSupportError, OverflowRangeError, ParseError
+from .errors import CapExceededError, OrderSupportError, OverflowRangeError, ParseError, check_count
 from .linalg import read_json
 
 # the largest degree whose factorials fit in a float: 171! overflows
@@ -114,8 +114,7 @@ class PolynomialFunction(ScalarFunction):
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ParseError("poly: coeffs must be a nonempty 1-d sequence")
-        if arr.size - 1 > POLY_MAX_DEGREE:
-            raise CapExceededError(f"poly: degree {arr.size - 1} exceeds cap {POLY_MAX_DEGREE}")
+        check_count("poly: degree", arr.size - 1, 0, POLY_MAX_DEGREE)
         if not np.all(np.isfinite(arr)):
             raise ParseError("poly: coeffs must be finite")
         self.coeffs = arr if np.any(arr.imag) else arr.real
@@ -151,10 +150,10 @@ class MonomialFunction(PolynomialFunction):
             raise ParseError(f"monomial: power must be an integer >= 0, got {k!r}")
         # compared by its digits first: int() refuses a string past 4300 of them
         digits = text.lstrip("0") or "0"
-        if len(digits) > 3 or int(digits) > POLY_MAX_DEGREE:
-            shown = digits if len(digits) <= 3 else f"{digits[:3]}... ({len(digits)} digits)"
+        if len(digits) > 3:
+            shown = f"{digits[:3]}... ({len(digits)} digits)"
             raise CapExceededError(f"monomial: power {shown} exceeds cap {POLY_MAX_DEGREE}")
-        k = int(digits)
+        k = check_count("monomial: power", int(digits), 0, POLY_MAX_DEGREE)
         super().__init__([0.0] * k + [1.0])
         self.k = k
 

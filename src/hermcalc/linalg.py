@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParseError, check_int
+from .errors import ConvergenceError, ParseError, check_count
 
 HERMITIAN_REJECT_TOL = 1e-8
 
@@ -119,9 +119,7 @@ def matrix_to_dict(arr, meta=None):
 def matrix_from_dict(doc, name="matrix"):
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise ParseError(f"{name}: expected an object with 'dim' and 'entries'")
-    d = check_int(f"{name}: 'dim'", doc["dim"])
-    if d < 1:
-        raise ParseError(f"{name}: 'dim' must be >= 1, got {d}")
+    d = check_count(f"{name}: 'dim'", doc["dim"], 1)
     try:
         pairs = np.array(doc["entries"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ParseError
+from .errors import ParseError, check_count, check_int, check_real
 from .expderiv import mat_exp
 from .linalg import HermitianMatrix, as_array
 from .powers import chain_product, matrix_powers
@@ -36,16 +36,11 @@ def fd_derivative(f, x, dirs, config=None):
     patterns and combines with the product of signs. Exact for functions
     quadratic in the step, O(h^2) otherwise.
     """
-    n = len(dirs)
-    if n < 1 or n > FD_MAX_N:
-        raise CapExceededError(f"fd_derivative: order {n} outside 1..{FD_MAX_N}")
+    n = check_count("fd_derivative: order", len(dirs), 1, FD_MAX_N)
     x = as_array(x)
     dirs = [as_array(v) for v in dirs]
-    h = config.step if (config is not None and config.step is not None) else None
-    if h is None:
-        h = DEFAULT_FD_STEPS[n]
-    if h <= 0:
-        raise ParseError(f"fd_derivative: step must be positive, got {h}")
+    step = None if config is None else config.step
+    h = check_real("fd_derivative: step", DEFAULT_FD_STEPS[n] if step is None else step)
     acc = np.zeros_like(x)
     for signs in itertools.product((1.0, -1.0), repeat=n):
         point = x.copy()
@@ -58,7 +53,7 @@ def fd_derivative(f, x, dirs, config=None):
 def exp_chain_quadrature(x, v, nodes=201):
     """Composite Simpson estimate of the first exp derivative integral,
     integral from 0 to 1 of exp(t x) v exp((1 - t) x) dt."""
-    if nodes < 3 or nodes % 2 == 0:
+    if check_int("exp_chain_quadrature: nodes", nodes) < 3 or nodes % 2 == 0:
         raise ParseError(f"exp_chain_quadrature: nodes must be odd >= 3, got {nodes}")
     h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
     v = as_array(v)
@@ -86,12 +81,8 @@ def symbolic_power_expand(k, x, dirs):
     convention is what allows bitwise comparison.
     """
     n = len(dirs)
-    if k < 0:
-        raise ParseError(f"symbolic_power_expand: k must be >= 0, got {k}")
-    if (n + 1) ** k > WORD_ENUM_BUDGET:
-        raise CapExceededError(
-            f"symbolic_power_expand: {(n + 1) ** k} words exceeds budget"
-        )
+    k = check_count("symbolic_power_expand: k", k)
+    check_count("symbolic_power_expand: words", (n + 1) ** k, 0, WORD_ENUM_BUDGET)
     x = as_array(x)
     dirs = [as_array(v) for v in dirs]
     d = x.shape[0]

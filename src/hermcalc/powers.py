@@ -15,7 +15,7 @@ compositions lex), so results are reproducible bit for bit.
 import numpy as np
 
 from .combinatorics import enum_compositions, enum_permutations
-from .errors import CapExceededError, ParseError
+from .errors import ParseError, check_count
 from .linalg import as_array
 
 POWER_MAX_N = 5
@@ -83,10 +83,8 @@ def power_derivative(k, n, x, dirs):
     square complex matrices of the same size. Returns the zero matrix
     when k < n.
     """
-    if not (0 <= n <= POWER_MAX_N):
-        raise CapExceededError(f"power_derivative: order n = {n} outside 0..{POWER_MAX_N}")
-    if not (0 <= k <= POWER_MAX_K):
-        raise CapExceededError(f"power_derivative: power k = {k} outside 0..{POWER_MAX_K}")
+    n = check_count("power_derivative: order", n, 0, POWER_MAX_N)
+    k = check_count("power_derivative: power", k, 0, POWER_MAX_K)
     if len(dirs) != n:
         raise ParseError(f"power_derivative: expected {n} directions, got {len(dirs)}")
     xa = as_array(x)

@@ -14,6 +14,7 @@ import numpy as np
 from . import expderiv
 from .bounds import power_bound, probe_seminorm, sobolev_bound
 from .combinatorics import enum_compositions
+from .errors import ParseError
 from .expderiv import (
     exp_derivative_dd,
     exp_derivative_mc,
@@ -357,9 +358,14 @@ def run_selftest(seed, quick=True, threads=1, names=None):
 
     The report is fully determined by (seed, quick, names): no timestamps
     or timings, so identical invocations give identical bytes. threads is
-    accepted and ignored.
+    accepted and ignored. names, a list of check names, selects checks;
+    ParseError for a bare string or for a name of no check.
     """
-    selected = CHECKS if names is None else [c for c in CHECKS if c[0] in set(names)]
+    if isinstance(names, str):
+        raise ParseError(f"selftest: names must be a list of check names, got {names!r}")
+    if unknown := sorted(set(names or ()) - {name for name, _ in CHECKS}):
+        raise ParseError(f"selftest: unknown checks {', '.join(unknown)}")
+    selected = CHECKS if names is None else [c for c in CHECKS if c[0] in names]
     results = []
     failed = []
     for name, fn in selected:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divided import derivative_matrix
-from .errors import CapExceededError, GridError, ParseError, RadiusError
+from .errors import GridError, RadiusError, check_count, check_real
 from .expderiv import MultilinearDerivative, check_derivative_args
 from .functions import ScalarFunction
 from .linalg import HermitianMatrix
@@ -164,10 +164,7 @@ def _grid(g, r, target, n):
 def check_fourier_ball(r, lam=()):
     """The Fourier route's ball: a radius r > 0 (else ParseError) up to
     FOURIER_MAX_RADIUS (else CapExceededError) that holds the spectrum lam."""
-    if not 0 < r < np.inf:
-        raise ParseError(f"fourier_table: radius must be positive and finite, got {r}")
-    if r > FOURIER_MAX_RADIUS:
-        raise CapExceededError(f"fourier_table: radius {r:g} above {FOURIER_MAX_RADIUS:g}")
+    check_real("fourier_table: radius", r, FOURIER_MAX_RADIUS)
     norm = float(np.max(np.abs(lam), initial=0.0))
     if norm > r * (1.0 + 1e-12) + 1e-12:
         raise RadiusError(f"fourier derivative: ||x|| = {norm:.6g} outside table radius {r:g}")
@@ -188,10 +185,7 @@ def fourier_table(g, r, n_max=2):
     refused before any transform.
     """
     check_fourier_ball(r)
-    if n_max < 0:
-        raise ParseError(f"fourier_table: order must be >= 0, got {n_max}")
-    if n_max > FOURIER_MAX_N:
-        raise CapExceededError(f"fourier_table: order {n_max} above {FOURIER_MAX_N}")
+    n_max = check_count("fourier_table: order", n_max, 0, FOURIER_MAX_N)
     s, ghat, ws, mass, nt = _grid(g, r, 40.0, n_max)
     while True:
         total, s_max = float(mass.sum()), s[-1]
@@ -215,7 +209,7 @@ def fourier_table(g, r, n_max=2):
         s=s,
         ghat=ghat,
         weights=ws,
-        n_max=int(n_max),
+        n_max=n_max,
         tail_fraction=tail_fraction,
         nt=int(nt),
     )
@@ -225,11 +219,7 @@ def function_derivative_fourier(table, x, dirs):
     """n-th derivative of x -> g(x) from the frequency table, as divided
     differences of the table's trigonometric sum g~."""
     h, dirs = check_derivative_args(x, dirs)
-    n = len(dirs)
-    if n > table.n_max:
-        raise CapExceededError(
-            f"fourier derivative: order {n} exceeds table n_max {table.n_max}"
-        )
+    n = check_count("fourier derivative: order", len(dirs), 0, table.n_max)
     dec = h.eig()
     check_fourier_ball(table.radius, dec.eigenvalues)
     matrix = derivative_matrix(dec.eigenvalues[None], dec.vectors[None], dirs[None], table)[0]

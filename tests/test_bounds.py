@@ -49,7 +49,7 @@ def test_negative_orders_are_rejected():
         sobolev_bound(ExpFunction(), -1, 1.0)
     with pytest.raises(ParseError, match="order"):
         power_bound(3, -1, 1.0)
-    with pytest.raises(ParseError, match="n >= 0"):
+    with pytest.raises(ParseError, match="order must be >= 0"):
         probe_seminorm(GaussianFunction(), -1, 1.0, 4, budget=4, seed=1)
 
 
@@ -59,7 +59,7 @@ def test_non_finite_radii_are_rejected(r):
         sobolev_bound(ExpFunction(), 1, r)
     with pytest.raises(ParseError, match="radius"):
         power_bound(3, 1, r)
-    with pytest.raises(ParseError, match="finite r"):
+    with pytest.raises(ParseError, match="radius"):
         probe_seminorm(GaussianFunction(), 1, r, 4, budget=4, seed=1)
 
 
@@ -334,7 +334,7 @@ def test_probe_caps_come_before_any_work(route, n, d, cap):
 
 
 def test_probe_rejects_negative_climb_steps():
-    with pytest.raises(ParseError, match="climb_steps >= 0"):
+    with pytest.raises(ParseError, match="climb_steps must be >= 0"):
         probe_seminorm(GaussianFunction(), 1, 1.0, 2, budget=2, seed=0, climb_steps=-1)
 
 

@@ -11,7 +11,7 @@ from hermcalc.combinatorics import (
     enum_compositions,
     enum_permutations,
 )
-from hermcalc.errors import CapExceededError
+from hermcalc.errors import CapExceededError, ParseError
 
 
 def test_composition_counts_match_binomial():
@@ -68,14 +68,14 @@ def test_composition_count_of_a_negative_total_is_zero():
 
 
 @pytest.mark.parametrize(
-    "enum, args, match",
+    "enum, args, error, match",
     [
-        (enum_compositions, (-1, 2), "n must be >= 0"),
-        (enum_compositions, (8, 40), f"exceeds cap {COMPOSITION_MAX_COUNT}"),
-        (enum_permutations, (-1,), "n must be >= 0"),
+        (enum_compositions, (-1, 2), ParseError, "n must be >= 0"),
+        (enum_compositions, (8, 40), CapExceededError, f"exceeds cap {COMPOSITION_MAX_COUNT}"),
+        (enum_permutations, (-1,), ParseError, "n must be >= 0"),
     ],
     ids=["negative-parts", "count-cap", "negative-permutation-size"],
 )
-def test_enumerations_refuse_negative_sizes_and_oversized_counts(enum, args, match):
-    with pytest.raises(CapExceededError, match=match):
+def test_enumerations_refuse_negative_sizes_and_oversized_counts(enum, args, error, match):
+    with pytest.raises(error, match=match):
         enum(*args)

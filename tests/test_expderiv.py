@@ -429,7 +429,7 @@ def test_simplex_volume_mc_matches_reference():
 def test_simplex_volume_mc_checks_samples_before_the_order_zero_shortcut():
     assert simplex_volume_mc(0, samples=2, seed=0).value == 1.0
     for n in (0, 2):
-        with pytest.raises(ParseError, match="at least 2 samples"):
+        with pytest.raises(ParseError, match="samples must be >= 2"):
             simplex_volume_mc(n, samples=-5, seed=0)
 
 
@@ -456,7 +456,7 @@ def test_seeds_that_are_not_integers_are_refused_not_truncated(seed):
 @pytest.mark.parametrize("estimate", [simplex_volume_mc, exp_derivative_mc])
 def test_mc_estimates_need_at_least_2_samples(estimate):
     args = (2,) if estimate is simplex_volume_mc else (np.eye(2), [np.eye(2)])
-    with pytest.raises(ParseError, match="at least 2 samples"):
+    with pytest.raises(ParseError, match="samples must be >= 2"):
         estimate(*args, samples=1, seed=0)
 
 

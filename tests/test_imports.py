@@ -7,7 +7,9 @@ orphaned helpers out of src/. The import scan skips the package's
 __init__.py: its imports are the public re-exports. One more scan keeps the
 Monte Carlo route apart from the divided-difference engine it cross-checks:
 in expderiv only exp_derivative_dd reads what comes from divided, apart from
-the shared rotation to_eigenbasis.
+the shared rotation to_eigenbasis. And one keeps the caps behind the helpers
+of errors: no other module raises CapExceededError itself, but for the one
+guard named in CAP_RAISES.
 """
 
 import ast
@@ -147,3 +149,45 @@ def test_monte_carlo_reads_nothing_of_the_dd_engine():
     source = (PACKAGE / "expderiv.py").read_text()
     assert "exp_derivative_dd" in source and "from .divided import" in source
     assert engine_reads(source) == []
+
+
+def cap_raises(source):
+    """(line, enclosing class and function names) of each raise of
+    CapExceededError in source."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "CapExceededError":
+                    found.append((child.lineno, ".".join(scope)))
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_the_scan_finds_a_cap_raise():
+    source = (
+        "from . import errors\nfrom .errors import CapExceededError\n"
+        "def f(n):\n    if n:\n        raise CapExceededError(n)\n"
+        "class K:\n    def g(self):\n        raise errors.CapExceededError\n"
+        "def h():\n    raise ValueError(CapExceededError)\n"
+    )
+    assert cap_raises(source) == [(5, "f"), (8, "K.g")]
+
+
+# module -> the scopes that may raise CapExceededError themselves: a
+# monomial's power is refused by its digit count, before int() reads a
+# string of thousands of digits
+CAP_RAISES = {"functions.py": ["MonomialFunction.__init__"]}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name)
+def test_caps_are_refused_through_the_helpers_of_errors(path):
+    scopes = [scope for _, scope in cap_raises(path.read_text())]
+    assert scopes == CAP_RAISES.get(path.name, [])
