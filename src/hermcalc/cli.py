@@ -18,7 +18,6 @@ Exit codes: 0 ok, 1 invariant failure, 2 parse error, 3 numeric error,
 """
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -29,7 +28,14 @@ from .divided import BAND_TAYLOR_SPAN, TAYLOR_SPAN
 from .errors import HermcalcError, ParseError, check_finite
 from .expderiv import check_derivative_args, exp_derivative_mc, simplex_volume_mc
 from .functions import parse_function
-from .linalg import HERMITIAN_REJECT_TOL, HermitianMatrix, load_matrix, matrix_to_dict, op_norm
+from .linalg import (
+    HERMITIAN_REJECT_TOL,
+    HermitianMatrix,
+    artifact_json,
+    load_matrix,
+    matrix_to_dict,
+    op_norm,
+)
 from .rng import check_seed
 from .selftest import run_selftest
 from .spectral import (
@@ -77,7 +83,7 @@ def _emit(args, fields):
         "seed": args.seed,
         "tolerances": TOLERANCES,
     }
-    _emit_text(args, json.dumps({"meta": meta, **fields}, indent=1, sort_keys=True) + "\n")
+    _emit_text(args, artifact_json({"meta": meta, **fields}))
 
 
 def _emit_text(args, text):

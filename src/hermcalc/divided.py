@@ -16,12 +16,18 @@ direction V_k, the paths of the others over their orderings by one rule at
 every n >= 2: the paths of a set S from rows a sum V_f[a, i1] times the
 paths of S without f (over all rows, formed once per call) over f in S.
 One batched matmul contracts them with the tensor, and V_k closes each
-path. The tensor, (B,) + (d,)^(n+1), is never built whole: it is gathered
-from the table, and the paths formed and contracted, one block of leading
-indices a at a time, a block holding at most SLAB_ENTRIES entries
-(chain_tensor gathers it whole). A block is gathered through the top
-level first: the table's entries for the tuples that hold each leading
-index, one row per index, then the symmetric rank map within those rows.
+path. At n = 4 the middle indices are a pair (i1, i2) and the tensor is
+symmetric in it, so the paths are folded onto the d(d+1)/2 ascending pairs
+(i <= j) first, P[i, j] + P[j, i] off the diagonal and P[i, i] on it, and
+the tensor is gathered for those pairs alone: half the entries and half the
+products, with results that move by rounding only. The tensor,
+(B,) + (d,)^(n+1), is never built whole: it is gathered from the table,
+and the paths formed and contracted, one block of leading indices a at a
+time, a block holding at most SLAB_ENTRIES entries (chain_tensor gathers
+it whole). A block is gathered through the top level first: the table's
+entries for the tuples that hold each leading index, one row per index,
+then the symmetric rank map within those rows (at n = 4 read at the
+ascending pairs, in intp once per call).
 
 One Newton table computes those values. It runs over ascending index
 tuples into the rows of an array t of nodes: ascending eigenvalues, or
@@ -268,7 +274,13 @@ def derivative_matrix(lam, vectors, dirs, g):
     elif n == 1:
         core = w[:, 0] * chain_tensor(lam, n, g)
     else:
-        newton, inner = _newton_table(g, lam, n), {}
+        (ins, sym, table), inner = _newton_table(g, lam, n), {}
+        if n == 4:
+            # the ascending middle pairs (i, j), the d diagonal ones first, and
+            # the tensor's rank map read at [c, (i, j), b], in intp once per call
+            i, j = np.triu_indices(d, 1)
+            pi, pj = np.concatenate([np.arange(d), i]), np.concatenate([np.arange(d), j])
+            sym, pair, swapped = sym[:, pi, pj].astype(np.intp), d * pi + pj, d * j + i
         # V_k[c, b] closes X[z, a, c, k, b] = (paths @ T)[z, a, c, k, b], laid
         # out [z, (c, k), b]; in place, so the close adds no array of X's size
         ends = w.transpose(0, 2, 1, 3).reshape(b, d * n, d)
@@ -277,8 +289,12 @@ def derivative_matrix(lam, vectors, dirs, g):
             # paths[z, a, c, k, m]: V[a, i1] ... V[i(n-2), c] over the orderings of all but V_k
             others = (tuple(f for f in range(n) if f != k) for k in range(n))
             paths = np.stack([_paths(w, rest, a, inner) for rest in others], axis=3)
+            if n == 4:
+                # folded: P[i, j] + P[j, i] off the diagonal, P[i, i] on it
+                paths, off = paths[..., pair], paths[..., swapped]
+                paths[..., d:] += off
             # the block is symmetric, so T[z, a, m, c, b] reads as [z, a, c, m, b]
-            t = _gather(*newton, a).reshape(b, -1, d, d ** (n - 2), d)
+            t = _gather(ins, sym, table, a).reshape(b, -1, d, paths.shape[-1], d)
             x = (paths @ t).reshape(b, -1, d * n, d)
             x *= ends[:, None]
             core[:, a] = x.sum(axis=2)

@@ -5,13 +5,15 @@ HermcalcError -> 1 (an invariant failure), ParseError -> 2,
 NumericError -> 3, DomainError -> 4; subclasses inherit their parent's.
 Any other exception is a bug.
 
-Every entry point checks its orders, dimensions, sample counts and radii
-through check_count and check_real, with one rule: a non-integer, a bool,
-a count below its least value, or a radius or step that is not a finite
-number above 0 (at or above 0 where zero is allowed) is a ParseError
-(exit 2); a value past a cap is a CapExceededError (exit 4).
+Every entry point checks its orders, dimensions, sample counts, radii and
+complex scales through check_count, check_real and check_complex, with one
+rule: a non-integer, a bool, a count below its least value, a radius or
+step that is not a finite number above 0 (at or above 0 where zero is
+allowed), or a scale that is not a finite number is a ParseError (exit 2);
+a value past a cap is a CapExceededError (exit 4).
 """
 
+import cmath
 import numbers
 import operator
 import sys
@@ -104,3 +106,13 @@ def check_real(name, value, cap=None, zero=False):
     if cap is not None and value > cap:
         raise CapExceededError(f"{name} {value} exceeds cap {cap}")
     return value
+
+
+def check_complex(name, value):
+    """value as a complex: ParseError unless it is a number (a bool or a
+    string is not) whose real and imaginary parts are finite."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Complex) and cmath.isfinite(value)
+    ):
+        raise ParseError(f"{name} must be a finite number, got {value!r}")
+    return complex(value)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .divided import derivative_matrix, to_eigenbasis
-from .errors import OverflowRangeError, ParseError, check_count
+from .errors import OverflowRangeError, ParseError, check_complex, check_count
 from .functions import ExpFunction
 from .linalg import HermitianMatrix
 
@@ -100,7 +100,7 @@ def check_derivative_args(x, dirs):
 def _check_exp_range(who, z, lam):
     """The range check of every exp route over a spectrum lam: exp(z lam)
     overflows once |Re z| max|lam| exceeds EXP_ARG_LIMIT."""
-    bound = abs(complex(z).real) * float(np.max(np.abs(lam)))
+    bound = abs(z.real) * float(np.max(np.abs(lam)))
     if bound > EXP_ARG_LIMIT:
         raise OverflowRangeError(f"{who}: |Re z| max|lambda| = {bound:.3e} > {EXP_ARG_LIMIT:g}")
 
@@ -109,16 +109,17 @@ def mat_exp(x, t=1.0):
     """exp(t x) = U exp(t lambda) U* for Hermitian x and any complex t. The
     overflow check bounds the largest real part of the exponent,
     |Re t| max|lambda| (imaginary t gives a unitary)."""
+    t = check_complex("mat_exp: t", t)
     dec = (x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)).eig()
     _check_exp_range("mat_exp", t, dec.eigenvalues)
-    return (dec.vectors * np.exp(complex(t) * dec.eigenvalues)) @ dec.vectors.conj().T
+    return (dec.vectors * np.exp(t * dec.eigenvalues)) @ dec.vectors.conj().T
 
 
 def exp_derivative_dd(x, dirs, scale=1.0):
     """n-th derivative of exp at scale*x applied to dirs, via divided
     differences of exp over eigenvalue chains of x."""
     h, dirs = check_derivative_args(x, dirs)
-    scale, dec = complex(scale), h.eig()
+    scale, dec = check_complex("exp_derivative_dd: scale", scale), h.eig()
     _check_exp_range("exp_derivative_dd", scale, dec.eigenvalues)
     g = ExpFunction()
     matrix = derivative_matrix(scale * dec.eigenvalues[None], dec.vectors[None], dirs[None], g)[0]
@@ -224,7 +225,7 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     h, dirs = check_derivative_args(x, dirs)
     n = len(dirs)
     samples = check_count("exp_derivative_mc: samples", samples, 2)
-    scale, dec = complex(scale), h.eig()
+    scale, dec = check_complex("exp_derivative_mc: scale", scale), h.eig()
     _check_exp_range("exp_derivative_mc", scale, dec.eigenvalues)
     d, u = h.dim, dec.vectors
     dirs_eig = to_eigenbasis(u, dirs)

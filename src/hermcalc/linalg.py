@@ -9,6 +9,7 @@ the norms of its Hermitian stacks from their eigenvalues instead.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -129,8 +130,36 @@ def matrix_from_dict(doc, name="matrix"):
     return validate_matrix(pairs.view(np.complex128).reshape(d, d), name=name)
 
 
+def _is_matrix(value):
+    """Whether value is a non-empty list of non-empty lists of floats."""
+    return (
+        isinstance(value, list) and value and all(isinstance(row, list) and row for row in value)
+        and set(map(type, itertools.chain.from_iterable(value))) == {float}
+    )
+
+
+def artifact_json(doc):
+    """json.dumps(doc, indent=1, sort_keys=True) + "\n" for a non-empty dict
+    with string keys, byte for byte. A field that is a matrix (a non-empty
+    list of non-empty lists of floats) is encoded by json's C encoder and laid
+    out as the indented encoder lays it out, one float a line; every other
+    field goes through json.dumps as before, indented one level."""
+    fields = []
+    for key in sorted(doc):
+        value = doc[key]
+        if _is_matrix(value):
+            # the rows split at "],[", which no float's repr holds
+            body = json.dumps(value, separators=(",", ":"))[2:-2].replace("],[", "\0")
+            body = body.replace(",", ",\n   ").replace("\0", "\n  ],\n  [\n   ")
+            text = "[\n  [\n   " + body + "\n  ]\n ]"
+        else:
+            text = json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n ")
+        fields.append(f"{json.dumps(key)}: {text}")
+    return "{\n " + ",\n ".join(fields) + "\n}\n"
+
+
 def matrix_to_json(arr, meta=None):
-    return json.dumps(matrix_to_dict(arr, meta), sort_keys=True, indent=1) + "\n"
+    return artifact_json(matrix_to_dict(arr, meta))
 
 
 def read_json(path, what):

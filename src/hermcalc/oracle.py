@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ParseError, check_count, check_int, check_real
 from .expderiv import mat_exp
 from .linalg import HermitianMatrix, as_array
-from .powers import chain_product, matrix_powers
+from .powers import POWER_MAX_K, chain_product, matrix_powers
 
 FD_MAX_N = 3
 DEFAULT_FD_STEPS = {1: 1e-4, 2: 1e-3, 3: 5e-3}
@@ -81,7 +81,7 @@ def symbolic_power_expand(k, x, dirs):
     convention is what allows bitwise comparison.
     """
     n = len(dirs)
-    k = check_count("symbolic_power_expand: k", k)
+    k = check_count("symbolic_power_expand: k", k, 0, POWER_MAX_K)
     check_count("symbolic_power_expand: words", (n + 1) ** k, 0, WORD_ENUM_BUDGET)
     x = as_array(x)
     dirs = [as_array(v) for v in dirs]

@@ -1,8 +1,8 @@
 """One rule for the arguments of every entry point: a count that is not an
-integer, a bool, or below its least value, and a radius or step that is not
-a finite number above 0 (at or above 0 where zero is allowed), raise
-ParseError; the first value past a cap raises CapExceededError before any
-work."""
+integer, a bool, or below its least value, a radius or step that is not a
+finite number above 0 (at or above 0 where zero is allowed), and a complex
+scale that is not a finite number raise ParseError; the first value past a
+cap raises CapExceededError before any work."""
 
 import math
 import tracemalloc
@@ -25,6 +25,7 @@ from hermcalc.expderiv import (
     EXP_DERIV_MAX_N,
     SIMPLEX_MAX_N,
     check_derivative_caps,
+    exp_derivative_dd,
     exp_derivative_mc,
     mat_exp,
     simplex_volume_mc,
@@ -109,6 +110,14 @@ REALS = {
     "fd_derivative-step": (lambda v: fd_derivative(mat_exp, X, [X], FDConfig(step=v)), False),
 }
 
+# entry point and complex parameter -> a call with that parameter set to the value
+COMPLEXES = {
+    "mat_exp-t": lambda v: mat_exp(X, v),
+    "exp_derivative_dd-scale": lambda v: exp_derivative_dd(X, [X], scale=v),
+    "exp_derivative_mc-scale": lambda v: exp_derivative_mc(X, [X], samples=2, seed=0, scale=v),
+}
+NOT_FINITE_NUMBERS = ["abc", "2", None, True, np.nan, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]
+
 
 def _cases(table, bad, below):
     """(call, value) per entry of table and each of its refused values: bad,
@@ -120,10 +129,14 @@ def _cases(table, bad, below):
 MALFORMED = [
     *_cases(COUNTS, [1.5, True, "2", None], lambda least: [] if least is None else [least - 1]),
     *_cases(REALS, [np.nan, np.inf, -1, True, "1"], lambda zero: [] if zero else [0]),
+    *(pytest.param(call, v, id=f"{k}-{v!r}") for k, call in COMPLEXES.items() for v in NOT_FINITE_NUMBERS),
 ]
 LEAST = [
     *(pytest.param(call, 3 if low is None else low, id=k) for k, (call, low) in COUNTS.items()),
     *(pytest.param(call, 0 if zero else 0.5, id=k) for k, (call, zero) in REALS.items()),
+    # 0, an int, a numpy float and a complex off the real axis all run
+    *(pytest.param(call, v, id=f"{k}-{v!r}") for k, call in COMPLEXES.items()
+      for v in (0, np.float64(-0.5), 0.3 - 1.2j)),
 ]
 
 
@@ -169,9 +182,12 @@ FIRST_PAST_CAPS = {
     ),
     "enum_permutations-n": lambda: enum_permutations(PERMUTATION_MAX_N + 1),
     "fd_derivative-order": lambda: fd_derivative(mat_exp, X, [X] * (FD_MAX_N + 1)),
+    # three directions: k = 10 is the first power whose 4^k words pass the
+    # budget, within the power cap
     "symbolic_power_expand-words": lambda: symbolic_power_expand(
-        math.ceil(math.log2(WORD_ENUM_BUDGET + 1)), X, [X]
+        math.ceil(math.log(WORD_ENUM_BUDGET + 1, 4)), X, [X] * 3
     ),
+    "symbolic_power_expand-k": lambda: symbolic_power_expand(POWER_MAX_K + 1, X, []),
 }
 
 

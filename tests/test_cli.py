@@ -372,6 +372,38 @@ def test_output_is_deterministic(mats, tmp_path):
     assert d1 == d2
 
 
+# one request per subcommand artifact, matrices m (3 x 3) or one (1 x 1)
+ARTIFACT_REQUESTS = {
+    "apply": ["apply", "--matrix", "{m}", "--function", "sin"],
+    "apply-d1": ["apply", "--matrix", "{one}", "--function", "exp"],
+    "deriv-dd": ["deriv", "--matrix", "{m}", "--function", "gaussian", "--dir", "{v}", "--dir", "{v}"],
+    "deriv-dd-d1": ["deriv", "--matrix", "{one}", "--function", "exp", "--dir", "{one}"],
+    "deriv-mc": ["deriv", "--matrix", "{m}", "--function", "exp", "--dir", "{v}", "--dir", "{v}",
+                 "--method", "mc", "--samples", "2000"],
+    "deriv-mc-d1": ["deriv", "--matrix", "{one}", "--function", "exp", "--dir", "{one}",
+                    "--method", "mc", "--samples", "100"],
+    "deriv-fourier": ["deriv", "--matrix", "{m}", "--function", "gaussian", "--dir", "{v}",
+                      "--method", "fourier", "--radius", "2"],
+    "bound": ["bound", "--function", "gaussian", "--order", "2", "--radius", "1"],
+    "probe": ["probe", "--function", "sin", "--order", "1", "--radius", "1", "--dim", "2",
+              "--samples", "4", "--format", "json"],
+    "volume": ["volume", "--order", "3", "--samples", "1000"],
+    "selftest": ["selftest", "--quick"],
+}
+
+
+@pytest.mark.parametrize("name", ARTIFACT_REQUESTS)
+def test_artifact_is_the_indented_sorted_json_encoding(mats, tmp_path, name):
+    # the matrices go through json's C encoder, laid out as the indented one does
+    one = tmp_path / "one.json"
+    save_matrix(np.array([[0.7]], dtype=complex), one)
+    argv = [a.format(m=mats["x"], v=mats["v"], one=one) for a in ARTIFACT_REQUESTS[name]]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
 def test_parser_is_reused_without_leaking_state(mats, tmp_path):
     from hermcalc.cli import _build_parser
 

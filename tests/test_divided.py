@@ -272,9 +272,10 @@ def _scattered_tensor(nodes, n, g):
     return tensor
 
 
-def _whole_contraction(lam, vectors, dirs, g):
+def _whole_contraction(lam, vectors, dirs, g, fold=True):
     """derivative_matrix as one batched matmul and one closing sum over the
-    whole scattered tensor."""
+    whole scattered tensor; at n = 4 over the ascending middle pairs, as the
+    core folds them, or with fold=False over both orders of each pair."""
     b, n, d = dirs.shape[0], dirs.shape[1], lam.shape[1]
     w = divided.to_eigenbasis(vectors, dirs)
     tensor = _scattered_tensor(lam, n, g)
@@ -305,7 +306,16 @@ def _whole_contraction(lam, vectors, dirs, g):
                 pair = 0 + p[:, :, :, None] * q[:, None] + q[:, :, :, None] * p[:, None]
                 terms.append(w[:, f, :, :, None, None] * pair[:, None])
             paths[:, :, :, k] = functools.reduce(np.add, terms).transpose(0, 1, 4, 2, 3).reshape(b, d, d, -1)
-        x = (paths @ tensor.reshape(b, d, d, -1, d)).reshape(b, d, d * n, d)
+        tensor = tensor.reshape(b, d, d, -1, d)
+        if n == 4 and fold:
+            # the middle pairs (i, j), the d diagonal ones first, then i < j in
+            # row order: P[i, i] on the diagonal, P[i, j] + P[j, i] off it
+            i, j = np.triu_indices(d, 1)
+            pairs = d * np.concatenate([np.arange(d), i]) + np.concatenate([np.arange(d), j])
+            folded = paths[..., pairs]
+            folded[..., d:] += paths[..., d * j + i]
+            paths, tensor = folded, tensor[:, :, :, pairs]
+        x = (paths @ tensor).reshape(b, d, d * n, d)
         core = (x * w.transpose(0, 2, 1, 3).reshape(b, 1, d * n, d)).sum(axis=2)
     return vectors @ core @ vectors.conj().swapaxes(-1, -2)
 
@@ -332,6 +342,22 @@ def test_gathered_blocks_equal_the_scattered_tensor(name, n, d):
         assert chain_tensor(lam, n, g).tobytes() == want.tobytes()
         got = derivative_matrix(lam, vectors, dirs, g)
         assert got.tobytes() == _whole_contraction(lam, vectors, dirs, g).tobytes(), b
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_CASES))
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 16])
+def test_folded_middle_pairs_move_the_contraction_by_rounding_only(name, d):
+    # the tensor is symmetric in the middle pair, so adding the paths of its
+    # two orders before the matmul regroups the sum and changes only rounding
+    g, z = TUPLE_CASES[name]
+    eps = np.finfo(float).eps
+    for b in (1, 3):
+        rows, vectors, dirs = _rows_and_points(d, 4, b, seed=7 * d + 4)
+        lam = z * rows
+        got = derivative_matrix(lam, vectors, dirs, g)
+        want = _whole_contraction(lam, vectors, dirs, g, fold=False)
+        for k in range(b):
+            assert np.max(np.abs(got[k] - want[k])) <= 4 * eps * np.max(np.abs(want[k])), (b, k)
 
 
 @pytest.mark.parametrize("name", sorted(TUPLE_CASES))

@@ -125,9 +125,10 @@ def test_fd_order_cap_and_step_check():
         (lambda x: exp_chain_quadrature(x, x, nodes=1), ParseError, "nodes must be odd >= 3"),
         (lambda x: exp_chain_quadrature(x, x, nodes=200), ParseError, "nodes must be odd >= 3"),
         (lambda x: symbolic_power_expand(-1, x, []), ParseError, "k must be >= 0"),
-        (lambda x: symbolic_power_expand(20, x, [x]), CapExceededError, r"words \d+ exceeds cap"),
+        (lambda x: symbolic_power_expand(12, x, [x] * 3), CapExceededError, r"words \d+ exceeds cap"),
+        (lambda x: symbolic_power_expand(13, x, []), CapExceededError, "k 13 exceeds cap 12"),
     ],
-    ids=["one-node", "even-nodes", "negative-power", "word-budget"],
+    ids=["one-node", "even-nodes", "negative-power", "word-budget", "power-cap"],
 )
 def test_oracles_refuse_bad_arguments(oracle, error, match):
     with pytest.raises(error, match=match):
