@@ -135,9 +135,8 @@ def _evaluate(g, lam, vectors, dirs, hermitian):
     derivatives are Hermitian when g is real-valued. Returns (B,)."""
     try:
         der = derivative_matrix(lam, vectors, dirs, g)
-    except OverflowRangeError as exc:  # g's own values overflowed
+    except OverflowRangeError as exc:  # g's values or a derivative overflowed
         raise OverflowRangeError(f"probe_seminorm: {exc}") from None
-    check_finite("probe_seminorm: a derivative", der)
     if not hermitian:  # the largest singular value
         return np.linalg.svd(der, compute_uv=False)[..., 0] / np.prod(_norms(dirs), axis=1)
     # one eigvalsh call for every point's derivative and directions

@@ -77,6 +77,8 @@ from threading import RLock
 
 import numpy as np
 
+from .errors import check_finite
+
 # entries per slab (1 MB complex): a probe stack's B d^(n+1), a leading-index
 # block's B d^n (a1 - a0), a chunk of one level's Taylor entries, whose entries
 # times terms Q + 1 stay within TAYLOR_TERM_ENTRIES (19784 entries at Q = 52)
@@ -259,13 +261,15 @@ def _paths(w, rest, rows, inner):
     return reduce(np.add, terms).reshape(b, -1, d, d ** (len(rest) - 1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def derivative_matrix(lam, vectors, dirs, g):
     """D^n g(x)[dirs] at every point x = U diag(lam) U* of a stack: lam
     (B, d) ascending (or such rows times a complex z, for exp(z x)),
     U = vectors (B, d, d), dirs (B, n, d, d); returns (B, d, d). A single
     point is the B = 1 case. Rotate the directions into the eigenbasis,
     contract against the tensor over the chains of lam summed over all
-    direction orderings, rotate back."""
+    direction orderings, rotate back. Where g overflows at the nodes, or
+    the result is not finite, OverflowRangeError, and no numpy warning."""
     b, n, d = dirs.shape[0], dirs.shape[1], lam.shape[1]
     w = to_eigenbasis(vectors, dirs)
     if n == 0:
@@ -298,4 +302,5 @@ def derivative_matrix(lam, vectors, dirs, g):
             x = (paths @ t).reshape(b, -1, d * n, d)
             x *= ends[:, None]
             core[:, a] = x.sum(axis=2)
-    return vectors @ core @ vectors.conj().swapaxes(-1, -2)
+    result = vectors @ core @ vectors.conj().swapaxes(-1, -2)
+    return check_finite(f"D^{n} {g.label()}(x)[dirs]", result)

@@ -15,7 +15,10 @@ point applied to direction matrices:
     joins per-sample pair products (_mc_sum).
 
 Both accept a complex scale factor z and differentiate at z*x; the dd
-route takes the divided differences over the complex nodes z lam.
+route takes the divided differences over the complex nodes z lam. Each
+route raises OverflowRangeError exactly where exp overflows at its nodes
+(t lam, z lam, or the Monte Carlo route's mu = max Re(z lam)) or its result
+is not finite.
 """
 
 from dataclasses import dataclass
@@ -27,14 +30,13 @@ import numpy as np
 
 from . import rng
 from .divided import derivative_matrix, to_eigenbasis
-from .errors import OverflowRangeError, ParseError, check_complex, check_count
+from .errors import ParseError, check_complex, check_count, check_finite
 from .functions import ExpFunction
 from .linalg import HermitianMatrix
 
 EXP_DERIV_MAX_N = 4
 EXP_DERIV_MAX_DIM = 32
 SIMPLEX_MAX_N = 8
-EXP_ARG_LIMIT = 700.0
 # MC: the moment kernel's largest d^(n+1), and L, R and M entries per moment call
 # (1 MB real), to keep its GEMMs in cache
 MC_MOMENT_ENTRIES = 1 << 16
@@ -97,22 +99,14 @@ def check_derivative_args(x, dirs):
     return h, np.array(out, dtype=np.complex128).reshape(n, h.dim, h.dim)
 
 
-def _check_exp_range(who, z, lam):
-    """The range check of every exp route over a spectrum lam: exp(z lam)
-    overflows once |Re z| max|lam| exceeds EXP_ARG_LIMIT."""
-    bound = abs(z.real) * float(np.max(np.abs(lam)))
-    if bound > EXP_ARG_LIMIT:
-        raise OverflowRangeError(f"{who}: |Re z| max|lambda| = {bound:.3e} > {EXP_ARG_LIMIT:g}")
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def mat_exp(x, t=1.0):
-    """exp(t x) = U exp(t lambda) U* for Hermitian x and any complex t. The
-    overflow check bounds the largest real part of the exponent,
-    |Re t| max|lambda| (imaginary t gives a unitary)."""
+    """exp(t x) = U exp(t lambda) U* for Hermitian x and any complex t;
+    OverflowRangeError where exp(t lambda) overflows, never at imaginary t."""
     t = check_complex("mat_exp: t", t)
     dec = (x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)).eig()
-    _check_exp_range("mat_exp", t, dec.eigenvalues)
-    return (dec.vectors * np.exp(t * dec.eigenvalues)) @ dec.vectors.conj().T
+    vals = ExpFunction().values(t * dec.eigenvalues)
+    return check_finite("mat_exp", (dec.vectors * vals) @ dec.vectors.conj().T)
 
 
 def exp_derivative_dd(x, dirs, scale=1.0):
@@ -120,7 +114,6 @@ def exp_derivative_dd(x, dirs, scale=1.0):
     differences of exp over eigenvalue chains of x."""
     h, dirs = check_derivative_args(x, dirs)
     scale, dec = check_complex("exp_derivative_dd: scale", scale), h.eig()
-    _check_exp_range("exp_derivative_dd", scale, dec.eigenvalues)
     g = ExpFunction()
     matrix = derivative_matrix(scale * dec.eigenvalues[None], dec.vectors[None], dirs[None], g)[0]
     return MultilinearDerivative(matrix=matrix, order=len(dirs), method="dd", scale=scale)
@@ -209,14 +202,17 @@ def _mc_sum(ex, terms):
     return y if n == 3 else y * factorial(n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     """Monte-Carlo estimate of the exp derivative with per-entry standard
     errors: uniform simplex samples, E[integrand] / n! summed over direction
     orderings. Each 4096-sample block is summed in batches of
     b = min(256, max(1, samples // 64)) samples, the last one of a block
     possibly partial. The block's draws are normalised as (level, sample)
-    rows, and its exponentials exp(z t_j lam) are written once, laid out
-    (level, batch, eigenvalue, sample), with exp taken in place. Its whole
+    rows, and its exponentials exp(t_j (z lam - mu)), mu = max Re(z lam) (refused
+    first where exp(mu) overflows), are written once, laid out (level, batch,
+    eigenvalue, sample), with exp taken in place: the t_j sum to 1, so each
+    chain carries exp(mu) once, and the sums are multiplied by it. Its whole
     batches, then its partial batch, go to _mc_moment where d^(n+1) <=
     MC_MOMENT_ENTRIES, else to _mc_sum, and the block is merged by Chan's
     parallel update. std_error is the batch-means estimate sqrt(sum_k n_k
@@ -226,7 +222,9 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
     n = len(dirs)
     samples = check_count("exp_derivative_mc: samples", samples, 2)
     scale, dec = check_complex("exp_derivative_mc: scale", scale), h.eig()
-    _check_exp_range("exp_derivative_mc", scale, dec.eigenvalues)
+    zlam = (scale.real if scale.imag == 0 else scale) * dec.eigenvalues[:, None]
+    mu = float(zlam.real.max())  # 0 at an imaginary scale, whose bits do not change
+    exp_mu, zlam = ExpFunction().values(mu), zlam - mu
     d, u = h.dim, dec.vectors
     dirs_eig = to_eigenbasis(u, dirs)
     batch = min(256, max(1, samples // 64))
@@ -237,7 +235,6 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
         group = max(1, MC_GROUP_ENTRIES // entries)
     else:
         kernel, w, group = _mc_sum, _mc_terms(dirs_eig), 1
-    zlam = (scale.real if scale.imag == 0 else scale) * dec.eigenvalues[:, None]
     total = np.zeros((d, d), dtype=np.complex128)
     m2 = done = batches = 0
     for block, count in rng.blocks(samples):
@@ -259,13 +256,11 @@ def exp_derivative_mc(x, dirs, samples, seed, scale=1.0, threads=1):
         total, done, batches = y.sum(axis=0), done + count, batches + len(y) - 1
         dev = y / np.maximum(size, 1) - total / done
         m2 = m2 + (size * (dev.real**2 + dev.imag**2)).sum(axis=0)
+    matrix = exp_mu * (total / samples)
+    std_error = exp_mu * np.sqrt(m2 / ((batches - 1) * samples))
+    check_finite("exp_derivative_mc: the estimate", (matrix, std_error))
     return MultilinearDerivative(
-        matrix=total / samples,
-        order=n,
-        method="mc",
-        scale=scale,
-        samples=samples,
-        std_error=np.sqrt(m2 / ((batches - 1) * samples)),
+        matrix=matrix, order=n, method="mc", scale=scale, samples=samples, std_error=std_error,
         seed=int(seed),
     )
 

@@ -37,6 +37,16 @@ def as_array(x):
     return validate_matrix(x)
 
 
+def check_dirs(x, dirs):
+    """The directions as validated arrays, each shaped like the array x;
+    ParseError naming the first that is not."""
+    arrs = [as_array(v) for v in dirs]
+    for j, arr in enumerate(arrs):
+        if arr.shape != x.shape:
+            raise ParseError(f"direction {j}: shape {arr.shape} does not match matrix {x.shape}")
+    return arrs
+
+
 def frobenius(m):
     return float(np.linalg.norm(m))
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParseError, check_count, check_int, check_real
 from .expderiv import mat_exp
-from .linalg import HermitianMatrix, as_array
+from .linalg import HermitianMatrix, as_array, check_dirs
 from .powers import POWER_MAX_K, chain_product, matrix_powers
 
 FD_MAX_N = 3
@@ -38,7 +38,7 @@ def fd_derivative(f, x, dirs, config=None):
     """
     n = check_count("fd_derivative: order", len(dirs), 1, FD_MAX_N)
     x = as_array(x)
-    dirs = [as_array(v) for v in dirs]
+    dirs = check_dirs(x, dirs)
     step = None if config is None else config.step
     h = check_real("fd_derivative: step", DEFAULT_FD_STEPS[n] if step is None else step)
     acc = np.zeros_like(x)
@@ -56,7 +56,7 @@ def exp_chain_quadrature(x, v, nodes=201):
     if check_int("exp_chain_quadrature: nodes", nodes) < 3 or nodes % 2 == 0:
         raise ParseError(f"exp_chain_quadrature: nodes must be odd >= 3, got {nodes}")
     h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
-    v = as_array(v)
+    (v,) = check_dirs(h.array, [v])
     t = np.linspace(0.0, 1.0, nodes)
     step = t[1] - t[0]
     # Own weights, not spectral.simpson_weights: oracles share no code with the engine.
@@ -84,7 +84,7 @@ def symbolic_power_expand(k, x, dirs):
     k = check_count("symbolic_power_expand: k", k, 0, POWER_MAX_K)
     check_count("symbolic_power_expand: words", (n + 1) ** k, 0, WORD_ENUM_BUDGET)
     x = as_array(x)
-    dirs = [as_array(v) for v in dirs]
+    dirs = check_dirs(x, dirs)
     d = x.shape[0]
     out = np.zeros((d, d), dtype=np.complex128)
     if k < n:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .combinatorics import enum_compositions, enum_permutations
 from .errors import ParseError, check_count
-from .linalg import as_array
+from .linalg import as_array, check_dirs
 
 POWER_MAX_N = 5
 POWER_MAX_K = 12
@@ -50,18 +50,6 @@ def chain_product(pows, dirs_seq, alpha):
     return m
 
 
-def _check_dirs(x, dirs):
-    arrs = []
-    for j, v in enumerate(dirs):
-        arr = as_array(v)
-        if arr.shape != x.shape:
-            raise ParseError(
-                f"direction {j}: shape {arr.shape} does not match matrix {x.shape}"
-            )
-        arrs.append(arr)
-    return arrs
-
-
 def _power_derivative_impl(k, n, x, dirs):
     d = x.shape[0]
     out = np.zeros((d, d), dtype=np.complex128)
@@ -88,4 +76,4 @@ def power_derivative(k, n, x, dirs):
     if len(dirs) != n:
         raise ParseError(f"power_derivative: expected {n} directions, got {len(dirs)}")
     xa = as_array(x)
-    return _power_derivative_impl(k, n, xa, _check_dirs(xa, dirs))
+    return _power_derivative_impl(k, n, xa, check_dirs(xa, dirs))

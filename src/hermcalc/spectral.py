@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divided import derivative_matrix
-from .errors import GridError, RadiusError, check_count, check_real
+from .errors import GridError, RadiusError, check_count, check_finite, check_real
 from .expderiv import MultilinearDerivative, check_derivative_args
 from .functions import ScalarFunction
 from .linalg import HermitianMatrix
@@ -36,12 +36,14 @@ FOURIER_MAX_N = 3
 FOURIER_MAX_RADIUS = 100.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_function(g, x):
-    """g(x) for Hermitian x: eigenvalues mapped through g."""
+    """g(x) for Hermitian x: eigenvalues mapped through g. Where g
+    overflows at them, or g(x) is not finite, OverflowRangeError."""
     h = x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
     dec = h.eig()
     vals = g.values(dec.eigenvalues).astype(np.complex128)
-    return (dec.vectors * vals) @ dec.vectors.conj().T
+    return check_finite(f"{g.label()}(x)", (dec.vectors * vals) @ dec.vectors.conj().T)
 
 
 def function_derivative_dd(g, x, dirs):

@@ -352,6 +352,60 @@ def test_overflowing_results_exit_3_without_artifact(mats, tmp_path):
         assert run(argv, tmp_path) == (3, None)
 
 
+def _no_constant(name):
+    raise ValueError(f"artifact holds {name}")
+
+
+def test_exp_routes_both_answer_inside_the_range_of_exp(tmp_path, capsys):
+    # exp(705) and exp(699) are finite: dd and mc both answer, and mc's
+    # std_error at diag(699, 0) with identity directions holds no NaN or
+    # Infinity, as its exponentials are taken relative to the largest one
+    eye = tmp_path / "eye.json"
+    save_matrix(np.eye(2, dtype=complex), eye)
+    for top in (699.0, 705.0):
+        x = tmp_path / f"x{top:g}.json"
+        save_matrix(np.diag([top, 0.0]).astype(complex), x)
+        base = ["deriv", "--matrix", str(x), "--function", "exp", "--dir", str(eye),
+                "--dir", str(eye)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("dd", "mc"):
+                out = tmp_path / f"{method}{top:g}.json"
+                assert main(base + ["--method", method, "--samples", "1000", "--out", str(out)]) == 0
+                doc = json.loads(out.read_text(), parse_constant=_no_constant)
+                assert np.all(np.isfinite(entries_to_matrix(doc)))
+        assert np.all(np.isfinite(doc["std_error"]))
+    assert capsys.readouterr().err == ""
+
+
+def test_overflowing_contraction_exits_3_without_artifact_or_warning(tmp_path, capsys):
+    # exp(709) is finite at the nodes, but D^2 exp(x)[5I, 5I] is not
+    x, v = tmp_path / "x.json", tmp_path / "v.json"
+    save_matrix(np.diag([709.0, 0.0]).astype(complex), x)
+    save_matrix(5.0 * np.eye(2, dtype=complex), v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["deriv", "--matrix", str(x), "--function", "exp", "--dir", str(v), "--dir", str(v)]
+        assert run(argv, tmp_path) == (3, None)
+    err = capsys.readouterr().err
+    assert "overflows" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("method", ["dd", "mc", None], ids=["deriv-dd", "deriv-mc", "volume"])
+def test_caps_past_their_row_exit_4_without_artifact(tmp_path, capsys, method):
+    # the dimension cap of both deriv routes, and the simplex volume order cap
+    if method is None:
+        argv = ["volume", "--order", "9"]
+    else:
+        big = tmp_path / "big.json"
+        save_matrix(np.eye(33, dtype=complex), big)
+        argv = ["deriv", "--matrix", str(big), "--function", "exp", "--dir", str(big),
+                "--method", method, "--samples", "100"]
+    assert run(argv, tmp_path) == (4, None)
+    err = capsys.readouterr().err
+    assert "exceeds cap" in err and "Traceback" not in err
+
+
 def test_output_is_deterministic(mats, tmp_path):
     argv = ["volume", "--order", "2", "--samples", "5000", "--seed", "11"]
     out1 = tmp_path / "v1.json"

@@ -4,6 +4,7 @@ sampler over ordered simplices, and the simplex volume estimator."""
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from hermcalc.expderiv import (
     reference_simplex_volume,
     simplex_volume_mc,
 )
+from hermcalc.functions import ExpFunction
 from hermcalc.linalg import frobenius, op_norm
+from hermcalc.spectral import apply_function, function_derivative_dd
 
 
 def random_hermitian(gen, d, scale=1.0):
@@ -64,11 +67,12 @@ def test_mat_exp_complex_time_against_scipy():
 
 
 def test_mat_exp_imaginary_time_does_not_overflow():
-    # exp(i x) is unitary however large x is; only |Re t| max|lambda| counts
+    # exp(i x) is unitary however large x is; only exp(t lambda) itself counts,
+    # so exp(-x) = diag(0, 1) is a result, not an overflow
     got = mat_exp(np.diag([800.0, 0.0]).astype(complex), 1j)
     np.testing.assert_allclose(got, np.diag([np.exp(800j), 1.0]), rtol=0, atol=1e-12)
-    with pytest.raises(OverflowRangeError):
-        mat_exp(np.diag([800.0, 0.0]).astype(complex), -1.0)
+    got = mat_exp(np.diag([800.0, 0.0]).astype(complex), -1.0)
+    np.testing.assert_array_equal(got, np.diag([0.0, 1.0]))
 
 
 def test_derivative_at_zero_is_direction():
@@ -486,3 +490,48 @@ def test_caps_and_overflow_guards():
     with pytest.raises(OverflowRangeError):
         exp_derivative_mc(big, [sx], samples=1000, seed=1)
     assert np.all(np.isfinite(exp_derivative_mc(big, [sx], samples=100, seed=1, scale=1j).matrix))
+
+
+def _outcome(route):
+    """The route's matrix, or None where it raises OverflowRangeError."""
+    try:
+        result = route()
+    except OverflowRangeError:
+        return None
+    return result if isinstance(result, np.ndarray) else result.matrix
+
+
+_SX = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
+_S3 = np.array([[0, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "spectrum, v",
+    [([top, 0.0], _SX) for top in (-800.0, -705.0, 699.0, 705.0, 800.0)]
+    + [([699.0, 698.5, 0.0], _S3), ([-705.0, -705.5, -710.0], _S3)],
+    ids=["-800", "-705", "699", "705", "800", "3x3-699", "3x3-neg705"],
+)
+def test_exp_routes_refuse_exactly_where_exp_overflows(spectrum, v):
+    # one rule on every exp route: g = exp at the nodes on the way in, a finite
+    # result on the way out; so exp(-800 x) is a result, exp(800 x) is refused
+    x = np.diag(spectrum).astype(complex)
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3):
+            dd = _outcome(lambda: exp_derivative_dd(x, [v] * n))
+            g = _outcome(lambda: function_derivative_dd(ExpFunction(), x, [v] * n))
+            assert (dd is None) == (g is None)
+            if dd is None:
+                continue
+            top = np.max(np.abs(dd))
+            assert np.max(np.abs(dd - g)) <= 4 * eps * top
+            mc = exp_derivative_mc(x, [v] * n, samples=100_000, seed=7)
+            assert np.all(np.isfinite(mc.std_error))
+            assert np.all(np.abs(mc.matrix - dd) <= 5 * mc.std_error + 4 * eps * top)
+        assert (_outcome(lambda: mat_exp(x)) is None) == (
+            _outcome(lambda: apply_function(ExpFunction(), x)) is None
+        )
+        assert _outcome(lambda: mat_exp(x, 1j)) is not None
+    # refused exactly where exp(max lambda) overflows, log(float max) = 709.78
+    assert (dd is None) == (max(spectrum) > 709.8)

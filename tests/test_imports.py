@@ -151,9 +151,9 @@ def test_monte_carlo_reads_nothing_of_the_dd_engine():
     assert engine_reads(source) == []
 
 
-def cap_raises(source):
-    """(line, enclosing class and function names) of each raise of
-    CapExceededError in source."""
+def cap_raises(source, name):
+    """(line, enclosing class and function names) of each raise of the
+    exception class name in source."""
     found = []
 
     def visit(node, scope):
@@ -163,7 +163,7 @@ def cap_raises(source):
                 inner = scope + [child.name]
             elif isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == "CapExceededError":
+                if getattr(exc, "id", getattr(exc, "attr", None)) == name:
                     found.append((child.lineno, ".".join(scope)))
             visit(child, inner)
 
@@ -178,7 +178,8 @@ def test_the_scan_finds_a_cap_raise():
         "class K:\n    def g(self):\n        raise errors.CapExceededError\n"
         "def h():\n    raise ValueError(CapExceededError)\n"
     )
-    assert cap_raises(source) == [(5, "f"), (8, "K.g")]
+    assert cap_raises(source, "CapExceededError") == [(5, "f"), (8, "K.g")]
+    assert cap_raises(source, "ValueError") == [(10, "h")]
 
 
 # module -> the scopes that may raise CapExceededError themselves: a
@@ -189,5 +190,21 @@ CAP_RAISES = {"functions.py": ["MonomialFunction.__init__"]}
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name)
 def test_caps_are_refused_through_the_helpers_of_errors(path):
-    scopes = [scope for _, scope in cap_raises(path.read_text())]
+    scopes = [scope for _, scope in cap_raises(path.read_text(), "CapExceededError")]
     assert scopes == CAP_RAISES.get(path.name, [])
+
+
+# module -> the scopes that may raise OverflowRangeError: g at the nodes on
+# the way in, one finite check on the way out, and the probe's re-prefix of
+# either
+OVERFLOW_RAISES = {
+    "errors.py": ["check_finite"],
+    "functions.py": ["ScalarFunction.values"],
+    "bounds.py": ["_evaluate"],
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_overflow_is_refused_at_the_nodes_or_by_the_finite_check(path):
+    scopes = [scope for _, scope in cap_raises(path.read_text(), "OverflowRangeError")]
+    assert scopes == OVERFLOW_RAISES.get(path.name, [])

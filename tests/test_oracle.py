@@ -127,9 +127,16 @@ def test_fd_order_cap_and_step_check():
         (lambda x: symbolic_power_expand(-1, x, []), ParseError, "k must be >= 0"),
         (lambda x: symbolic_power_expand(12, x, [x] * 3), CapExceededError, r"words \d+ exceeds cap"),
         (lambda x: symbolic_power_expand(13, x, []), CapExceededError, "k 13 exceeds cap 12"),
+        # a 1 x 1 direction was broadcast into a wrong result, a 3 x 3 one a bare ValueError
+        (lambda x: fd_derivative(mat_exp, x, [x[:1, :1]]), ParseError, r"0: shape \(1, 1\) does"),
+        (lambda x: fd_derivative(mat_exp, x, [x, np.eye(3)]), ParseError, r"1: shape \(3, 3\) does"),
+        (lambda x: exp_chain_quadrature(x, np.eye(3)), ParseError, r"0: shape \(3, 3\) does"),
+        (lambda x: symbolic_power_expand(3, x, [np.eye(3)]), ParseError, r"0: shape \(3, 3\) does"),
     ],
-    ids=["one-node", "even-nodes", "negative-power", "word-budget", "power-cap"],
+    ids=["one-node", "even-nodes", "negative-power", "word-budget", "power-cap", "fd-1x1-direction",
+         "fd-3x3-direction", "quadrature-direction", "word-expansion-direction"],
 )
 def test_oracles_refuse_bad_arguments(oracle, error, match):
     with pytest.raises(error, match=match):
         oracle(np.eye(2, dtype=complex))
+
