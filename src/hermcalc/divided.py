@@ -44,34 +44,43 @@ order (by last index, then by the rest), so the structure of any smaller
 d is its prefix, read as views. It is shared by every call and every row,
 and holds at most 16.7 MiB, every level of d = 32 up to n = 4; a call
 computes the values only.
-Every entry, over nodes t_k0..t_kj with span w = |t_kj - t_k0|, follows
-one rule:
+Every entry, over nodes t_k0..t_kj with span w = |t_kj - t_k0| and
+midpoint c, reads B w for w, B = g.band(c) of g's growth statement (see
+functions.ScalarFunction; 1 but for the Fourier sum and the gaussian past
+|c| = 1), and follows one rule:
 
-  * w <= TAYLOR_SPAN: the Taylor series about the midpoint c,
+  * B w <= TAYLOR_SPAN (BAND_TAYLOR_SPAN for a g with a bandwidth): the
+    Taylor series about c,
         sum_q g^(j+q)(c) / (j+q)! * h_q(t_k0 - c, ..., t_kj - c),
     h_q the complete homogeneous symmetric sums, g's orders from one
     g.derivatives call per level, for q = 0..Q with no exit on a term that
-    happens to be 0. A polynomial g takes its whole finite series,
-    Q = degree - j; any other g takes rho^Q <= eps, rho = w / 2, which
-    bounds the tail when g^(k)(c) / k! does not grow with k (exp, sin, cos;
-    the gaussian's grow like |c|^k / k!, which stays within 1e-13 for
-    midpoints |c| <= 15);
+    happens to be 0;
   * otherwise the Newton recurrence (T[k1..kj] - T[k0..k(j-1)]) / (t_kj - t_k0).
 
-The recurrence is only used where it divides by more than 1, so its
-rounding does not grow from level to level. A g with a bandwidth B,
-|g^(k)| <= A B^k (the Fourier route's table, its trigonometric sum g~),
-reads B w for w and BAND_TAYLOR_SPAN for TAYLOR_SPAN, and takes the
-smallest Q with rho^(Q+1) e^rho / (Q+1)! <= eps, which bounds the tail by
-eps A B^j / j!. A g whose max_order is below n is refused before the table
-is built, since level n holds the coincident tuples (i, ..., i). Otherwise
-such a g (the cubic spline, max_order 1) takes the Taylor series, to its
-last order, only over nodes within sqrt(eps) (1 + |c|), where cancellation
-in the recurrence would cost more than the truncation. Each level picks
-its branches first and sizes the series of its Taylor entries alone.
+The recurrence is only used where it divides by more than 1 / B, so its
+rounding, against the scale B^j / j! of the level, does not grow from level
+to level. The term count Q of an entry depends on its reach rho = B w / 2,
+its level and g's growth class alone: it is the first Q whose entry in the
+class's table of reaches covers rho, one np.searchsorted per level. The
+table of a class is built on first use and bounds the tail, with
+|h_q| <= C(j+q, q) (w / 2)^q, by eps A B^j m_j / j!:
+  * "band", |g^(k)(c)| <= A B^k (m_k = 1): rho^(Q+1) e^rho / (Q+1)! <= eps;
+  * "gaussian", |g^(k)(c)| <= A B^k sqrt(k!): the first omitted term
+    sqrt((j+Q+1)! / j!) rho^(Q+1) / (Q+1)!, over 1 - theta, theta =
+    sqrt(j+Q+2) rho / (Q+2) the largest ratio of the terms after it, <= eps;
+  * "flat", |g^(k)(c)| / k! <= A (m_k = k! / B^k): rho^Q <= eps;
+  * "finite" (a polynomial): no reach short of the whole series.
+A g with a last order (a polynomial's degree, or max_order) takes its series
+no further than that order. A g whose max_order is below n is refused
+before the table is built, since level n holds the coincident tuples
+(i, ..., i). Otherwise such a g (the cubic spline, max_order 1) takes the
+Taylor series only over nodes within sqrt(eps) (1 + |c|), where
+cancellation in the recurrence would cost more than the truncation. Each
+level picks its branches first and sizes the series of its Taylor entries
+alone.
 """
 
-from functools import reduce
+from functools import cache, reduce
 from math import comb, factorial
 from threading import RLock
 
@@ -81,37 +90,62 @@ from .errors import check_finite
 
 # entries per slab (1 MB complex): a probe stack's B d^(n+1), a leading-index
 # block's B d^n (a1 - a0), a chunk of one level's Taylor entries, whose entries
-# times terms Q + 1 stay within TAYLOR_TERM_ENTRIES (19784 entries at Q = 52)
+# times terms Q + 1 stay within TAYLOR_TERM_ENTRIES (a slab up to Q = 15, as
+# exp, sin and cos take at rho = 1/2; 6278 entries for monomial:170 at Q = 166)
 SLAB_ENTRIES = 1 << 16
 TAYLOR_TERM_ENTRIES = 1 << 20
 TAYLOR_SPAN = 1.0
 BAND_TAYLOR_SPAN = 4.0
+# the length less one of a growth class's table of reaches: a polynomial's
+# largest degree (functions.POLY_MAX_DEGREE); a band table then reaches 40
+TAYLOR_MAX_TERMS = 170
 _EPS = float(np.finfo(float).eps)
 _LOG_EPS = float(np.log(_EPS))
 _SQRT_EPS = float(np.sqrt(_EPS))
+# Newton steps of a table of reaches: from the linear root they take at most 6
+_REACH_STEPS = 8
 # level j -> its index structure over the most nodes asked for so far
 _LEVELS = {}
 # reentrant: building a level takes the level below from _level
 _LEVELS_LOCK = RLock()
 
 
+@cache
+def _reaches(growth, j):
+    """r[Q], Q = 0..TAYLOR_MAX_TERMS, increasing: the largest reach rho that
+    the series to Q terms past the leading one covers at level j, by the
+    module's tail bound of the growth class. Each bound is F(u) = L in
+    u = log rho, F convex and increasing, so Newton's method from the root
+    of its linear part (Q+1) u descends onto its root."""
+    q = np.arange(TAYLOR_MAX_TERMS + 1.0)
+    if growth == "finite":
+        return np.zeros_like(q)
+    if growth == "flat":
+        with np.errstate(divide="ignore"):
+            return np.exp(_LOG_EPS / q)
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, TAYLOR_MAX_TERMS + j + 3)))])
+    limit = log_factorial[1:][: len(q)] + _LOG_EPS
+    if growth == "band":
+        extra = lambda u: (np.exp(u), np.exp(u))
+    else:
+        limit -= 0.5 * (log_factorial[q.astype(int) + j + 1] - log_factorial[j])
+        a = np.sqrt(q + j + 2.0) / (q + 2.0)
+        extra = lambda u: (-np.log1p(-a * np.exp(u)), a * np.exp(u) / (1.0 - a * np.exp(u)))
+    u = limit / (q + 1.0)
+    for _ in range(_REACH_STEPS):
+        value, slope = extra(u)
+        u -= ((q + 1.0) * u + value - limit) / (q + 1.0 + slope)
+    return np.exp(u)
+
+
 def _taylor_terms(g, j, rho):
-    """Terms Q past the leading one at level j for the scaled half-spans rho
-    of Taylor entries alone, rho <= half the Taylor span. A g with max_order
-    takes the series, to its last order, only over nodes within
-    sqrt(eps) (1 + |c|)."""
-    if g.degree is not None:
-        return np.where(rho > 0.0, max(g.degree - j, 0), 0)
-    if g.bandwidth is not None:
-        # smallest Q with rho^(Q+1) e^rho / (Q+1)! <= eps
-        q, tail = np.zeros(rho.shape, dtype=np.intp), rho * np.exp(rho)
-        while (more := tail > _EPS).any():
-            q[more] += 1
-            tail[more] *= rho[more] / (q[more] + 1)
-        return q
-    # rho^Q <= eps; rho <= 1/2 here, so log rho is never 0
-    q = np.where(rho > 0.0, np.ceil(_LOG_EPS / np.log(np.where(rho > 0.0, rho, 0.5))), 0.0)
-    return (q if g.max_order is None else np.minimum(q, g.max_order - j)).astype(np.intp)
+    """Terms Q past the leading one at level j for the reaches rho of Taylor
+    entries alone, rho <= half the Taylor span: the first Q whose reach in
+    the table of g's growth class covers rho, cut at g's last order."""
+    reach = _reaches(g.growth, j)
+    if (last := g.max_order if g.degree is None else g.degree) is not None:
+        reach = np.append(reach[: max(last - j, 0)], np.inf)
+    return np.searchsorted(reach, rho)
 
 
 def _taylor(g, nodes, j, terms, dtype):
@@ -201,15 +235,15 @@ def _newton_table(g, t, n):
     g.check_order(n, "divided differences")
     d = t.shape[1]
     table = g.values(t)
-    band, limit = (1.0, TAYLOR_SPAN) if g.bandwidth is None else (g.bandwidth, BAND_TAYLOR_SPAN)
+    limit = TAYLOR_SPAN if g.bandwidth is None else BAND_TAYLOR_SPAN
     for j in range(1, n + 1):
         tuples, lo, hi, _, _ = _level(d, j)
         first, last = t[:, tuples[:, 0]], t[:, tuples[:, -1]]
-        span = last - first
-        reach = band * np.abs(span)
+        span, mid = last - first, 0.5 * (last + first)
+        reach = g.band(mid) * np.abs(span)
         taylor = reach <= limit
         if g.max_order is not None:
-            taylor &= reach <= _SQRT_EPS * (1.0 + np.abs(0.5 * (last + first)))
+            taylor &= reach <= _SQRT_EPS * (1.0 + np.abs(mid))
         table = (table[:, hi] - table[:, lo]) / np.where(taylor, 1.0, span)
         row, col = np.nonzero(taylor)
         terms = _taylor_terms(g, j, 0.5 * reach[row, col])

@@ -21,12 +21,30 @@ POLY_MAX_DEGREE = 170
 class ScalarFunction:
     """Base: subclasses define derivatives(t, j, q), the orders j..j+q of g
     at t stacked on a new last axis, max_order (None: every order), degree
-    (a polynomial's) and bandwidth (|g^(k)| <= A B^k)."""
+    (a polynomial's) and bandwidth (|g^(k)| <= A B^k at every t, which
+    widens the Taylor switch of its divided differences).
+
+    Each g states how its Taylor coefficients |g^(k)(c)| / k! grow with k,
+    which sizes the Taylor series of its divided differences about the
+    midpoint c of their nodes (divided._taylor_terms): growth names a class
+    of bound, with some A(c) and B = band(c) (bandwidth, else 1),
+      * "band": |g^(k)(c)| <= A(c) B^k, for exp, sin and cos (B = 1) and the
+        Fourier sum (B its bandwidth);
+      * "gaussian": |g^(k)(c)| <= A(c) B(c)^k sqrt(k!), B(c) = max(1, |c|)
+        (GaussianFunction);
+      * "finite": g^(k) = 0 past the degree (a polynomial);
+      * "flat", the default: |g^(k)(c)| / k! <= A(c).
+    A g with max_order takes its series no further than that order."""
 
     kind = "abstract"
     max_order = None
     degree = None
     bandwidth = None
+    growth = "flat"
+
+    def band(self, c):
+        """B of the growth statement at the midpoints c."""
+        return 1.0 if self.bandwidth is None else self.bandwidth
 
     def derivatives(self, t, j, q):
         raise NotImplementedError
@@ -62,6 +80,7 @@ class ExpFunction(ScalarFunction):
     """exp, also at complex arguments (the exp route uses z t)."""
 
     kind = "exp"
+    growth = "band"
 
     def derivatives(self, t, j, q):
         return np.repeat(np.exp(np.asarray(t))[..., None], q + 1, axis=-1)
@@ -71,6 +90,7 @@ class SinFunction(ScalarFunction):
     """sin, whose orders cycle (sin, cos, -sin, -cos); cos starts one order on."""
 
     kind = "sin"
+    growth = "band"
     shift = 0
 
     def derivatives(self, t, j, q):
@@ -86,9 +106,20 @@ class CosFunction(SinFunction):
 
 class GaussianFunction(ScalarFunction):
     """g(t) = exp(-t^2 / 2); g^(m+1) = -t g^(m) - m g^(m-1), as
-    g^(m) = (-1)^m He_m(t) g with the probabilists' Hermite polynomials."""
+    g^(m) = (-1)^m He_m(t) g with the probabilists' Hermite polynomials.
+
+    Its growth: |He_k(c)| <= K sqrt(k!) e^(c^2 / 4), K = 1.086435 (Cramer's
+    inequality, Abramowitz and Stegun 22.14.17 in the probabilists' form),
+    covers |c| <= sqrt(2k), as e^(c^2 / 4) / max(1, |c|)^k <= e^(1/4) there;
+    past it, |He_k(c)| / |c|^k <= sum_m (k^2 / (2 c^2))^m / m! <= e^(k/4),
+    which is below K e^(1/4) sqrt(k!) for k >= 1. So at every c,
+    |g^(k)(c)| <= K e^(1/4) e^(-c^2 / 2) max(1, |c|)^k sqrt(k!)."""
 
     kind = "gaussian"
+    growth = "gaussian"
+
+    def band(self, c):
+        return np.maximum(1.0, np.abs(c))
 
     def derivatives(self, t, j, q):
         t = np.asarray(t, dtype=float)
@@ -109,6 +140,7 @@ class PolynomialFunction(ScalarFunction):
     """sum_j coeffs[j] t^j, ascending coefficients, possibly complex."""
 
     kind = "poly"
+    growth = "finite"
 
     def __init__(self, coeffs):
         arr = np.asarray(coeffs, dtype=np.complex128)

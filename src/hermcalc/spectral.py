@@ -91,6 +91,7 @@ class FourierTable(ScalarFunction):
     g~(t) = sum_k w_k ghat_k exp(i s_k t), of bandwidth max |s_k|."""
 
     kind = "fourier"
+    growth = "band"
 
     g_label: str
     radius: float
