@@ -68,7 +68,7 @@ table of a class is built on first use and bounds the tail, with
   * "gaussian", |g^(k)(c)| <= A B^k sqrt(k!): the first omitted term
     sqrt((j+Q+1)! / j!) rho^(Q+1) / (Q+1)!, over 1 - theta, theta =
     sqrt(j+Q+2) rho / (Q+2) the largest ratio of the terms after it, <= eps;
-  * "flat", |g^(k)(c)| / k! <= A (m_k = k! / B^k): rho^Q <= eps;
+  * "flat", |g^(k)(c)| / k! <= A: rho^Q <= eps, which bounds its terms;
   * "finite" (a polynomial): no reach short of the whole series.
 A g with a last order (a polynomial's degree, or max_order) takes its series
 no further than that order. A g whose max_order is below n is refused
